@@ -4,11 +4,11 @@
    Timings and measured counts drift run to run — the *shape* must not:
    the schema id, each table's column set, and each table's row keys
    (first-column values) are contracts consumed by downstream tooling.
-   A fresh table must exist in the reference, carry exactly the same
-   columns, and its row keys must appear in the reference in order (a
-   subsequence, because smoke runs truncate sweeps: jobs 1-2 of 1-8,
-   n<=10^6 of a 10^7 sweep). Anything else is schema drift and fails
-   the build. *)
+   The fresh document must carry at least one table. A fresh table must
+   exist in the reference, carry exactly the same columns, and its row
+   keys must appear in the reference in order (a subsequence, because
+   smoke runs truncate sweeps: jobs 1-2 of 1-8, n<=10^6 of a 10^7 sweep).
+   Anything else is schema drift and fails the build. *)
 
 module J = Dhw_util.Jsonw
 
@@ -86,6 +86,8 @@ let check ~ref_doc ~new_doc =
   | Some s -> add "reference schema %S, expected %S" s expected_schema
   | None -> add "reference has no schema id");
   let ref_shapes = shapes_of ref_doc in
+  let new_shapes = shapes_of new_doc in
+  if new_shapes = [] then add "fresh document has no tables";
   List.iter
     (fun nt ->
       match List.find_opt (fun rt -> rt.id = nt.id) ref_shapes with
@@ -103,7 +105,7 @@ let check ~ref_doc ~new_doc =
           then
             add "table %s row keys are not a subsequence of the reference"
               nt.id)
-    (shapes_of new_doc);
+    new_shapes;
   List.rev !violations
 
 (* Exit status: 0 = shapes match, 1 = drift, 2 = unreadable inputs. *)

@@ -1417,13 +1417,15 @@ let e24 () =
 
 (* ------------------------------------------------------------------ *)
 (* E25: the million-unit kernel. Wall-clock and minor-heap allocation for
-   failure-free runs of A, B and D as n sweeps up to 10^7 at t=10^3 —
-   the scale regime the interval-set protocol views, the preallocated
-   kernel inboxes and the trivial-fault scheduling fast path exist for.
-   The words/round column is the proof that the round loop itself does
-   not allocate: it must stay flat (near-zero per process-step) as n
-   grows by two orders of magnitude. D is capped at 10^6: its agreement
-   phases are t^2 messages each, which dominates long before n does. *)
+   runs of A, B and D as n sweeps up to 10^7 at t=10^3 — failure-free, and
+   for A and B also under the work-wasting crash storm (t-1 crashes of the
+   active process, each right after 25-75 units of work) — the scale
+   regime the interval-set protocol views, the preallocated kernel inboxes
+   and the due-pid round loop exist for. The words/round column is the
+   proof that the round loop itself does not allocate: it must stay flat
+   (near-zero per process-step) as n grows by two orders of magnitude,
+   with or without crashes. D is capped at 10^6: its agreement phases are
+   t^2 messages each, which dominates long before n does. *)
 
 type scale_row = {
   sc_proto : string;
@@ -1433,6 +1435,10 @@ type scale_row = {
   sc_ok : bool;
 }
 
+let crash_storm ~t () =
+  Simkit.Fault.crash_active_after_random_work ~seed:1L ~min_units:25
+    ~max_units:75 ~max_crashes:(t - 1)
+
 let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) ?(d_cap = 1_000_000) ()
     =
   let t = 1000 in
@@ -1440,24 +1446,27 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) ?(d_cap = 1_000_000) ()
     Table.create
       ~title:
         (Printf.sprintf
-           "E25: scale sweep at t=%d, failure-free. Wall-clock and minor-heap\n\
-            words per round must stay flat as n grows (the kernel round loop\n\
-            allocates nothing of its own; protocol views are interval sets).\n\
-            D capped at n=%d: its agreement traffic is t^2 per phase." t d_cap)
+           "E25: scale sweep at t=%d, failure-free and under a crash storm\n\
+            (t-1 crashes of the active process, each after 25-75 units).\n\
+            Wall-clock and minor-heap words per round must stay flat as n\n\
+            grows (the kernel round loop allocates nothing of its own;\n\
+            protocol views are interval sets). D capped at n=%d: its\n\
+            agreement traffic is t^2 per phase." t d_cap)
       [ ("protocol", Table.Left); ("n", Right); ("t", Right); ("rounds", Right);
         ("work", Right); ("msgs", Right); ("wall ms", Right);
         ("minor words", Right); ("words/round", Right); ("ok", Left) ]
   in
   let rows = ref [] in
   List.iter
-    (fun (name, proto) ->
+    (fun (name, proto, fault) ->
       List.iter
         (fun n ->
           if not (name = "D" && n > d_cap) then begin
             let spec = Doall.Spec.make ~n ~t in
+            let fault = Option.map (fun f -> f ()) fault in
             let t0 = Unix.gettimeofday () in
             let before = Gc.minor_words () in
-            let r = run spec proto in
+            let r = run ?fault spec proto in
             let words = Gc.minor_words () -. before in
             let wall = Unix.gettimeofday () -. t0 in
             let rounds = max 1 (m_rounds r) in
@@ -1481,9 +1490,11 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) ?(d_cap = 1_000_000) ()
         scales;
       Table.add_rule table)
     [
-      ("A", Doall.Protocol_a.protocol);
-      ("B", Doall.Protocol_b.protocol);
-      ("D", Doall.Protocol_d.protocol);
+      ("A", Doall.Protocol_a.protocol, None);
+      ("B", Doall.Protocol_b.protocol, None);
+      ("D", Doall.Protocol_d.protocol, None);
+      ("A crash-storm", Doall.Protocol_a.protocol, Some (crash_storm ~t));
+      ("B crash-storm", Doall.Protocol_b.protocol, Some (crash_storm ~t));
     ];
   print_string "\n== E25 ==\n";
   publish "E25" table;
@@ -1509,10 +1520,11 @@ let scale () =
   ignore (e25 ())
 
 (* The @scale-smoke CI leg: the sweep truncated to n <= 10^6, with hard
-   budgets asserted on the protocol-A n=10^6 run — wall-clock and
-   minor-words-per-round ceilings that fail the build (exit 1) when the
-   kernel hot path regresses into per-round allocation or superlinear
-   scheduling. Returns the violations; [] = within budget. *)
+   budgets asserted on the n=10^6 runs of A, failure-free and under the
+   crash storm — wall-clock and minor-words-per-round ceilings that fail
+   the build (exit 1) when the kernel hot path regresses into per-round
+   allocation or superlinear scheduling. Returns the violations; [] =
+   within budget. *)
 let scale_smoke ?(wall_budget_s = 60.) ?(words_per_round_ceiling = 256.) () =
   reset ();
   let rows = e25 ~scales:[ 100_000; 1_000_000 ] () in
@@ -1522,15 +1534,18 @@ let scale_smoke ?(wall_budget_s = 60.) ?(words_per_round_ceiling = 256.) () =
     (fun sc ->
       if not sc.sc_ok then add "%s n=%d: run incorrect" sc.sc_proto sc.sc_n)
     rows;
-  (match
-     List.find_opt (fun sc -> sc.sc_proto = "A" && sc.sc_n = 1_000_000) rows
-   with
-  | None -> add "A n=1000000 leg missing from the sweep"
-  | Some sc ->
-      if sc.sc_wall_s > wall_budget_s then
-        add "A n=1000000 took %.1fs > %.0fs wall budget" sc.sc_wall_s
-          wall_budget_s;
-      if sc.sc_words_per_round > words_per_round_ceiling then
-        add "A n=1000000 allocates %.1f minor words/round > ceiling %.0f"
-          sc.sc_words_per_round words_per_round_ceiling);
+  List.iter
+    (fun proto ->
+      match
+        List.find_opt (fun sc -> sc.sc_proto = proto && sc.sc_n = 1_000_000) rows
+      with
+      | None -> add "%s n=1000000 leg missing from the sweep" proto
+      | Some sc ->
+          if sc.sc_wall_s > wall_budget_s then
+            add "%s n=1000000 took %.1fs > %.0fs wall budget" proto sc.sc_wall_s
+              wall_budget_s;
+          if sc.sc_words_per_round > words_per_round_ceiling then
+            add "%s n=1000000 allocates %.1f minor words/round > ceiling %.0f"
+              proto sc.sc_words_per_round words_per_round_ceiling)
+    [ "A"; "A crash-storm"; "B crash-storm" ];
   List.rev !violations

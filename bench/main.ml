@@ -26,6 +26,12 @@ let timing_json (t : Bench_timing.timing) =
         match t.Bench_timing.r_square with Some r -> J.Float r | None -> J.Null );
     ]
 
+let modes = [ "all"; "tables"; "timing"; "smoke"; "scale"; "scale-smoke" ]
+
+let usage =
+  "usage: main.exe [all|tables|timing|smoke|scale|scale-smoke] [--json [PATH]]\n\
+  \       main.exe gate REF NEW"
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "gate" :: ref_path :: new_path :: [] ->
@@ -40,12 +46,17 @@ let () =
         | w :: rest -> parse w json rest
       in
       let what, json = parse "all" None args in
+      if not (List.mem what modes) then begin
+        prerr_endline usage;
+        exit 2
+      end;
       let violations = ref [] in
       (match what with
       | "smoke" -> Bench_tables.smoke ()
       | "scale" -> Bench_tables.scale ()
       | "scale-smoke" -> violations := Bench_tables.scale_smoke ()
-      | _ -> if what = "all" || what = "tables" then Bench_tables.all ());
+      | "all" | "tables" -> Bench_tables.all ()
+      | _ -> ());
       let timings =
         if what = "all" || what = "timing" then Bench_timing.run () else []
       in

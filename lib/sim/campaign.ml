@@ -149,10 +149,10 @@ module Schedule = struct
           let i = Option.value ~default:0 (Hashtbl.find_opt idx pid) in
           if i < Array.length arr then Some arr.(i) else None
     in
-    let crashed_by pid round =
+    let silent_from pid =
       match current pid with
-      | Some ({ mode = Silent; at; _ }, _) -> round >= at
-      | _ -> false
+      | Some ({ mode = Silent; at; _ }, _) -> Some at
+      | _ -> None
     in
     let on_step (v : Fault.step_view) =
       match current v.sv_pid with
@@ -222,7 +222,7 @@ module Schedule = struct
         | _ -> ())
       t.entries;
     let byzantine_from pid = Hashtbl.find_opt byz pid in
-    Fault.custom ~restarts ~on_restart ~corrupts ~byzantine_from ~crashed_by
+    Fault.custom ~restarts ~on_restart ~corrupts ~byzantine_from ~silent_from
       ~on_step ()
 
   let restart_count t =

@@ -30,7 +30,9 @@ type step_view = {
 }
 
 type t = {
-  plan_crashed_by : pid -> round -> bool;
+  plan_silent_from : pid -> round option;
+      (* the round from which the pid's current incarnation is silently
+         dead; re-read by the kernel after every committed revival *)
   plan_on_step : step_view -> decision;
   plan_restarts : (pid * round) list;
       (* static restart schedule, consumed by the kernel *)
@@ -41,16 +43,16 @@ type t = {
   plan_byzantine_from : pid -> round option;
   plan_trivial : bool;
       (* statically known to never crash/corrupt/subvert/restart anything;
-         lets the kernel skip the per-round fault sweep entirely *)
+         lets the kernel skip consulting [plan_on_step] entirely *)
   committed : (pid, round) Hashtbl.t;
       (* crashes the kernel actually committed; authoritative for all plans *)
 }
 
 let make ?(trivial = false) ?(restarts = []) ?(on_restart = fun _ _ -> ())
-    ?(corrupts = fun _ _ -> None) ?(byzantine_from = fun _ -> None) ~crashed_by
-    ~on_step () =
+    ?(corrupts = fun _ _ -> None) ?(byzantine_from = fun _ -> None)
+    ?(silent_from = fun _ -> None) ~on_step () =
   {
-    plan_crashed_by = crashed_by;
+    plan_silent_from = silent_from;
     plan_on_step = on_step;
     plan_restarts = restarts;
     plan_on_restart = on_restart;
@@ -60,15 +62,19 @@ let make ?(trivial = false) ?(restarts = []) ?(on_restart = fun _ _ -> ())
     committed = Hashtbl.create 16;
   }
 
-let custom ?restarts ?on_restart ?corrupts ?byzantine_from ~crashed_by ~on_step
+let custom ?restarts ?on_restart ?corrupts ?byzantine_from ~silent_from ~on_step
     () =
-  make ?restarts ?on_restart ?corrupts ?byzantine_from ~crashed_by ~on_step ()
+  make ?restarts ?on_restart ?corrupts ?byzantine_from ~silent_from ~on_step ()
+
+(* A committed crash at [r] reads as a silent death from [r + 1] on. *)
+let silent_from t pid =
+  match (Hashtbl.find_opt t.committed pid, t.plan_silent_from pid) with
+  | Some r, Some s -> Some (min (r + 1) s)
+  | Some r, None -> Some (r + 1)
+  | None, s -> s
 
 let crashed_by t pid round =
-  (match Hashtbl.find_opt t.committed pid with
-  | Some r -> round > r
-  | None -> false)
-  || t.plan_crashed_by pid round
+  match silent_from t pid with Some s -> round >= s | None -> false
 
 let on_step t view =
   if crashed_by t view.sv_pid view.sv_round then
@@ -89,11 +95,11 @@ let byzantine_from t pid = t.plan_byzantine_from pid
 let note_restart t pid round =
   (* Forget the committed crash so a later crash of the same pid re-records;
      then let the plan mask itself (a static plan would otherwise keep
-     answering [crashed_by] = true for the revived incarnation). *)
+     answering [silent_from] for the revived incarnation). *)
   Hashtbl.remove t.committed pid;
   t.plan_on_restart pid round
 
-let none = make ~trivial:true ~crashed_by:(fun _ _ -> false) ~on_step:(fun _ -> Survive) ()
+let none = make ~trivial:true ~on_step:(fun _ -> Survive) ()
 
 let is_trivial t = t.plan_trivial
 
@@ -110,34 +116,21 @@ let earliest_per_pid entries key_of =
 
 let crash_silently_at entries =
   let tbl = earliest_per_pid entries (fun (p, r) -> (p, r)) in
-  let crashed_by pid round =
-    match Hashtbl.find_opt tbl pid with Some (r, _) -> round >= r | None -> false
-  in
-  make ~trivial:(entries = []) ~crashed_by ~on_step:(fun _ -> Survive) ()
+  let silent_from pid = Option.map fst (Hashtbl.find_opt tbl pid) in
+  make ~trivial:(entries = []) ~silent_from ~on_step:(fun _ -> Survive) ()
 
 let crash_acting_at entries =
   let tbl = earliest_per_pid entries (fun (p, r, _) -> (p, r)) in
-  let crashed_by _ _ = false in
   let on_step view =
     match Hashtbl.find_opt tbl view.sv_pid with
     | Some (r, (_, _, decision)) when view.sv_round >= r -> decision
     | _ -> Survive
   in
-  make ~crashed_by ~on_step ()
+  make ~on_step ()
 
-let dynamic f =
-  let dead = Hashtbl.create 16 in
-  let crashed_by pid round =
-    match Hashtbl.find_opt dead pid with Some r -> round > r | None -> false
-  in
-  let on_step view =
-    match f view with
-    | Survive -> Survive
-    | Crash _ as c ->
-        Hashtbl.replace dead view.sv_pid view.sv_round;
-        c
-  in
-  make ~crashed_by ~on_step ()
+(* A pid crashed by [on_step] stays dead through the kernel's committed-crash
+   record, so online plans need no silent-death table of their own. *)
+let dynamic f = make ~on_step:f ()
 
 let random ~seed ~t ~victims ~window =
   if victims >= t then invalid_arg "Fault.random: victims must be < t";
@@ -150,11 +143,11 @@ let random ~seed ~t ~victims ~window =
       let cut = Prng.int_in g 0 4 in
       Hashtbl.replace tbl pid (r, cut))
     pids;
-  let crashed_by pid round =
+  let silent_from pid =
     (* A victim acting at exactly its crash round crashes via [on_step]
        (partial delivery); a victim idle at its crash round is dead from
        the next round on. *)
-    match Hashtbl.find_opt tbl pid with Some (r, _) -> round > r | None -> false
+    Option.map (fun (r, _) -> r + 1) (Hashtbl.find_opt tbl pid)
   in
   let on_step view =
     match Hashtbl.find_opt tbl view.sv_pid with
@@ -162,7 +155,7 @@ let random ~seed ~t ~victims ~window =
         Crash { keep_work = false; delivery = Prefix cut }
     | _ -> Survive
   in
-  make ~crashed_by ~on_step ()
+  make ~silent_from ~on_step ()
 
 let crash_active_after_random_work ~seed ~min_units ~max_units ~max_crashes =
   if min_units < 1 || max_units < min_units then
@@ -171,10 +164,6 @@ let crash_active_after_random_work ~seed ~min_units ~max_units ~max_crashes =
   let crashes = ref 0 in
   let units_since_last = ref 0 in
   let next_gap = ref (Prng.int_in g min_units max_units) in
-  let dead = Hashtbl.create 16 in
-  let crashed_by pid round =
-    match Hashtbl.find_opt dead pid with Some r -> round > r | None -> false
-  in
   let on_step view =
     if view.sv_works = 0 || !crashes >= max_crashes then Survive
     else begin
@@ -183,13 +172,12 @@ let crash_active_after_random_work ~seed ~min_units ~max_units ~max_crashes =
         units_since_last := 0;
         next_gap := Prng.int_in g min_units max_units;
         incr crashes;
-        Hashtbl.replace dead view.sv_pid view.sv_round;
         Crash { keep_work = true; delivery = Prefix 0 }
       end
       else Survive
     end
   in
-  make ~crashed_by ~on_step ()
+  make ~on_step ()
 
 let with_restarts restarts base =
   (* From a pid's first revival on, the base plan's answers for that pid are
@@ -199,10 +187,8 @@ let with_restarts restarts base =
      adversaries are built directly via [make]'s [on_restart] hook (see
      [Campaign.Schedule.to_fault]). *)
   let revived : (pid, round) Hashtbl.t = Hashtbl.create 8 in
-  let crashed_by pid r =
-    match Hashtbl.find_opt revived pid with
-    | Some rr when r >= rr -> false
-    | _ -> base.plan_crashed_by pid r
+  let silent_from pid =
+    if Hashtbl.mem revived pid then None else base.plan_silent_from pid
   in
   let on_step view =
     match Hashtbl.find_opt revived view.sv_pid with
@@ -214,15 +200,11 @@ let with_restarts restarts base =
     base.plan_on_restart pid r
   in
   make ~restarts ~on_restart ~corrupts:base.plan_corrupts
-    ~byzantine_from:base.plan_byzantine_from ~crashed_by ~on_step ()
+    ~byzantine_from:base.plan_byzantine_from ~silent_from ~on_step ()
 
 let crash_active_after_work ~units_between_crashes ~max_crashes =
   let crashes = ref 0 in
   let units_since_last = ref 0 in
-  let dead = Hashtbl.create 16 in
-  let crashed_by pid round =
-    match Hashtbl.find_opt dead pid with Some r -> round > r | None -> false
-  in
   let on_step view =
     if view.sv_works = 0 || !crashes >= max_crashes then Survive
     else begin
@@ -230,10 +212,9 @@ let crash_active_after_work ~units_between_crashes ~max_crashes =
       if !units_since_last >= units_between_crashes then begin
         units_since_last := 0;
         incr crashes;
-        Hashtbl.replace dead view.sv_pid view.sv_round;
         Crash { keep_work = true; delivery = Prefix 0 }
       end
       else Survive
     end
   in
-  make ~crashed_by ~on_step ()
+  make ~on_step ()

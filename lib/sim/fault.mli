@@ -61,10 +61,8 @@ val is_trivial : t -> bool
 (** True only for plans that are statically known to never do anything:
     no crashes, no restarts, no corruption, no Byzantine subversion
     ({!none}, or degenerate constructions such as {!crash_silently_at}[ []]).
-    The kernel uses this to skip the per-round fault sweep over all [t]
-    processes and schedule only the processes that are actually due — the
-    difference between O(rounds·t) and O(activity) on failure-free runs at
-    n=10^6+. A [false] answer is always safe (it merely keeps the sweep). *)
+    The kernel then skips {!on_step} (and the {!step_view} it would build)
+    for every step. A [false] answer is always safe. *)
 
 val crash_silently_at : (pid * round) list -> t
 (** Each listed process is dead from the start of the given round: it takes
@@ -73,8 +71,9 @@ val crash_silently_at : (pid * round) list -> t
 
 val crash_acting_at : (pid * round * decision) list -> t
 (** Each listed process survives strictly below its round, then the given
-    decision applies at the first round [>= r] in which it acts. If it never
-    acts at or after [r] it is treated as silently crashed from [r]. *)
+    decision applies at the first round [>= r] in which it acts. A process
+    that never acts at or after [r] is never crashed: it simply stays
+    asleep. *)
 
 val dynamic : (step_view -> decision) -> t
 (** Fully online adversary: consulted every time any process acts; once it
@@ -105,23 +104,29 @@ val custom :
   ?on_restart:(pid -> round -> unit) ->
   ?corrupts:(pid -> round -> tamper option) ->
   ?byzantine_from:(pid -> round option) ->
-  crashed_by:(pid -> round -> bool) ->
+  silent_from:(pid -> round option) ->
   on_step:(step_view -> decision) ->
   unit ->
   t
-(** General constructor combining a silent-death predicate with an online
-    acting-crash rule — the building block for plans (such as
-    {!Campaign.Schedule.to_fault}) that mix both kinds of entry. The kernel
-    keeps the two consistent through {!note_crash}.
+(** General constructor combining silent deaths with an online acting-crash
+    rule — the building block for plans (such as
+    {!Campaign.Schedule.to_fault}) that mix both kinds of entry.
+    [silent_from pid] is the round from which [pid]'s current incarnation
+    is silently dead ([None]: never); the kernel reads it when the run
+    starts and again after each committed revival of [pid], and crashes the
+    pid at the first processed round at or after it. Crashes committed by
+    [on_step] need no [silent_from] entry: the kernel records them through
+    {!note_crash}.
 
     [restarts] is the crash–recovery extension: a static schedule of
     [(pid, round)] revivals the kernel applies to pids that are down at the
     scheduled round (entries for up or terminated pids are dropped — the
     adversary cannot restart what is not crashed). [on_restart] is invoked
-    when the kernel commits a revival, so stateful plans can advance to
-    their next crash cycle. A plan whose [crashed_by]/[on_step] ignore
-    revivals would re-kill the new incarnation instantly; use
-    {!with_restarts} to mask a static plan, or handle [on_restart].
+    when the kernel commits a revival, before [silent_from] is re-read, so
+    stateful plans can advance to their next crash cycle. A plan whose
+    [silent_from]/[on_step] ignore revivals would re-kill the new
+    incarnation instantly; use {!with_restarts} to mask a static plan, or
+    handle [on_restart].
 
     [corrupts] is the message-tampering extension: consulted by the kernel
     when a surviving process is about to emit messages (only when the run
@@ -139,17 +144,23 @@ val with_restarts : (pid * round) list -> t -> t
 
 (** {1 Kernel interface} — used by {!Kernel}, not by protocol code. *)
 
+val silent_from : t -> pid -> round option
+(** The round from which [pid] is (silently) dead: the plan's own
+    [silent_from], or the round after a crash the kernel committed,
+    whichever is earlier. Read by the kernel at start-up and after each
+    revival. *)
+
 val crashed_by : t -> pid -> round -> bool
-(** Is [pid] (silently) dead at round [r]? Consulted before stepping. *)
+(** Is [pid] (silently) dead at round [r]? Derived from {!silent_from};
+    consulted before stepping by round sweeps that visit every pid. *)
 
 val on_step : t -> step_view -> decision
 (** Consulted when a live process is about to commit a round's outcome.
-    The plan must remember its own [Crash] answers: after crashing a pid it
-    must answer [crashed_by] = true for later rounds. *)
+    A pid for which {!crashed_by} holds is crashed without output. *)
 
 val note_crash : t -> pid -> round -> unit
 (** Kernel informs the plan that it committed the crash (so that
-    [crashed_by] stays consistent for all plan kinds). *)
+    {!silent_from} and {!crashed_by} stay consistent for all plan kinds). *)
 
 val restarts : t -> (pid * round) list
 (** The plan's static restart schedule, in no particular order; the kernel

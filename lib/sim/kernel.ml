@@ -29,16 +29,71 @@ let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?trace ?obs
     ?(show = fun _ -> "<msg>") ?spans ?tamper ~n_processes ~n_units () =
   { n_processes; n_units; fault; max_rounds; trace; obs; show; spans; tamper }
 
-(* The round loop is written to allocate nothing of its own: inboxes are a
-   pair of preallocated per-destination arrays (messages sent in round r into
-   one buffer while the other is being consumed, swapped each delivery),
-   wakeups live in an int array (-1 = none) shadowed by a lazy binary
-   min-heap so the next active round is found in O(log t) instead of an O(t)
-   scan, and every trace/obs event is constructed only when a sink is
-   actually attached. When the fault plan is statically trivial
-   ({!Fault.is_trivial}) and no tamper model is armed, the per-round sweep
-   over all t processes collapses to just the processes that are due — the
-   protocol's own activity is then the only per-round cost. *)
+(* One round loop for every adversary. A processed round visits, in pid
+   order, only the pids something can happen to: those with a wakeup due,
+   mail in their inbox, or a pending fault event. Wakeups and fault events
+   live in two lazy (round, pid) min-heaps; inboxes are a pair of
+   preallocated per-destination arrays with touched-destination lists
+   (messages sent in round r go into one buffer while the other is
+   consumed, swapped each delivery). A fault event is a silent crash (the
+   plan's {!Fault.silent_from}, or a Byzantine entry without a tamper
+   model) or a Byzantine activation: it is pushed when the run starts and
+   again when its pid is revived, surfaces at the first processed round at
+   or after its round, and never creates a processed round of its own —
+   exactly when a sweep over all t pids would have observed it. Nothing is
+   ever scanned per round, the loop allocates nothing of its own (a
+   non-trivial plan is handed one step view per step), and every trace/obs
+   event is constructed only when a sink is attached. *)
+
+(* Binary min-heap of (round, pid) pairs, lexicographic, on growable int
+   arrays. Entries are never removed early: callers validate what pops. *)
+module Heap = struct
+  type t = { mutable w : int array; mutable p : int array; mutable n : int }
+
+  let create cap = { w = Array.make (max 8 cap) 0; p = Array.make (max 8 cap) 0; n = 0 }
+
+  let less h i j = h.w.(i) < h.w.(j) || (h.w.(i) = h.w.(j) && h.p.(i) < h.p.(j))
+
+  let swap h i j =
+    let w = h.w.(i) and p = h.p.(i) in
+    h.w.(i) <- h.w.(j);
+    h.p.(i) <- h.p.(j);
+    h.w.(j) <- w;
+    h.p.(j) <- p
+
+  let push h w p =
+    if h.n = Array.length h.w then begin
+      h.w <- Array.append h.w h.w;
+      h.p <- Array.append h.p h.p
+    end;
+    h.w.(h.n) <- w;
+    h.p.(h.n) <- p;
+    h.n <- h.n + 1;
+    let i = ref (h.n - 1) in
+    while !i > 0 && less h !i ((!i - 1) / 2) do
+      swap h !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  (* Drop the top entry; the heap must be non-empty. *)
+  let pop h =
+    h.n <- h.n - 1;
+    if h.n > 0 then begin
+      swap h 0 h.n;
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let s = ref !i in
+        if l < h.n && less h l !s then s := l;
+        if r < h.n && less h r !s then s := r;
+        if !s = !i then continue := false
+        else begin
+          swap h !i !s;
+          i := !s
+        end
+      done
+    end
+end
 
 let run ?recover ?metrics cfg proc =
   let t = cfg.n_processes in
@@ -54,83 +109,33 @@ let run ?recover ?metrics cfg proc =
   let recover =
     match recover with Some f -> f | None -> fun pid _r -> proc.init pid
   in
-  let fast = Fault.is_trivial cfg.fault && Option.is_none cfg.tamper in
+  (* A trivial plan answers [Survive] to every step: skip building the view. *)
+  let consult_plan = not (Fault.is_trivial cfg.fault) in
   let observing = Option.is_some cfg.trace || Option.is_some cfg.obs in
   let has_obs = Option.is_some cfg.obs in
   let statuses = Array.make t Running in
-  let wakeups = Array.make t (-1) in
+  let alive pid = match statuses.(pid) with Running -> true | _ -> false in
 
-  (* Lazy min-heap over (wakeup round, pid), lexicographic. Entries are
+  (* Wakeups: an int array (-1 = none) shadowed by a lazy heap. Entries are
      pushed on every wakeup change and validated against [wakeups]/[statuses]
      when they surface, so stale entries cost one pop each, ever. *)
-  let heap_w = ref (Array.make (max 8 (2 * t)) 0) in
-  let heap_p = ref (Array.make (max 8 (2 * t)) 0) in
-  let heap_n = ref 0 in
-  let heap_less i j =
-    let hw = !heap_w in
-    hw.(i) < hw.(j) || (hw.(i) = hw.(j) && !heap_p.(i) < !heap_p.(j))
-  in
-  let heap_swap i j =
-    let hw = !heap_w and hp = !heap_p in
-    let w = hw.(i) and p = hp.(i) in
-    hw.(i) <- hw.(j);
-    hp.(i) <- hp.(j);
-    hw.(j) <- w;
-    hp.(j) <- p
-  in
-  let heap_push w p =
-    if !heap_n = Array.length !heap_w then begin
-      let cap = 2 * !heap_n in
-      let nw = Array.make cap 0 and np = Array.make cap 0 in
-      Array.blit !heap_w 0 nw 0 !heap_n;
-      Array.blit !heap_p 0 np 0 !heap_n;
-      heap_w := nw;
-      heap_p := np
-    end;
-    !heap_w.(!heap_n) <- w;
-    !heap_p.(!heap_n) <- p;
-    incr heap_n;
-    let i = ref (!heap_n - 1) in
-    while !i > 0 && heap_less !i ((!i - 1) / 2) do
-      heap_swap !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-  in
-  let heap_pop () =
-    (* caller guarantees non-empty; returns nothing — read top first *)
-    decr heap_n;
-    if !heap_n > 0 then begin
-      heap_swap 0 !heap_n;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < !heap_n && heap_less l !s then s := l;
-        if r < !heap_n && heap_less r !s then s := r;
-        if !s = !i then continue := false
-        else begin
-          heap_swap !i !s;
-          i := !s
-        end
-      done
-    end
-  in
-  let entry_valid w p = statuses.(p) = Running && wakeups.(p) = w in
+  let wakeups = Array.make t (-1) in
+  let wake = Heap.create (2 * t) in
+  let entry_valid w p = alive p && wakeups.(p) = w in
   (* Smallest valid wakeup, discarding stale entries; max_int when none. *)
-  let rec heap_peek () =
-    if !heap_n = 0 then max_int
+  let rec wake_peek () =
+    if wake.n = 0 then max_int
     else
-      let w = !heap_w.(0) and p = !heap_p.(0) in
+      let w = wake.w.(0) and p = wake.p.(0) in
       if entry_valid w p then w
       else begin
-        heap_pop ();
-        heap_peek ()
+        Heap.pop wake;
+        wake_peek ()
       end
   in
   let set_wakeup p w =
     wakeups.(p) <- w;
-    if w >= 0 then heap_push w p
+    if w >= 0 then Heap.push wake w p
   in
 
   let states =
@@ -140,7 +145,7 @@ let run ?recover ?metrics cfg proc =
         | Some w0 when w0 < 0 ->
             invalid_arg "Kernel.run: negative initial wakeup"
         | Some w0 -> set_wakeup pid w0
-        | None -> wakeups.(pid) <- -1);
+        | None -> ());
         s)
   in
 
@@ -184,33 +189,55 @@ let run ?recover ?metrics cfg proc =
              { name; pid; at = r; inc; ts_us = Dhw_util.Clock.now_us () });
         res
   in
-  let alive pid = statuses.(pid) = Running in
-  (* Byzantine pids only act out their subversion when the run carries a
-     tamper model (the model says what "arbitrary-but-typed lies" look like
-     for this protocol's message type). Without one, a Byzantine entry
-     degrades to a silent crash at its activation round. *)
-  let byz_active pid r =
-    match (cfg.tamper, Fault.byzantine_from cfg.fault pid) with
-    | Some _, Some b0 -> b0 <= r
-    | _ -> false
+
+  (* Fault events. [byz_at.(p)] is the round from which p is adversary-
+     controlled — only with a tamper model, which says what its lies look
+     like; without one a Byzantine entry degrades to a silent crash at its
+     activation round. [silent_at.(p)] is the round from which p's current
+     incarnation is silently dead. max_int = never. Both thresholds become
+     events, so the pid is visited at the first processed round that
+     reaches them even if it has nothing else due. *)
+  let byz_at = Array.make t max_int in
+  let silent_at = Array.make t max_int in
+  let events = Heap.create 8 in
+  let arm pid =
+    let silent =
+      match Fault.silent_from cfg.fault pid with Some s -> s | None -> max_int
+    in
+    let degraded =
+      match (cfg.tamper, Fault.byzantine_from cfg.fault pid) with
+      | None, Some b0 -> b0
+      | _ -> max_int
+    in
+    silent_at.(pid) <- min silent degraded;
+    if silent_at.(pid) < max_int then Heap.push events silent_at.(pid) pid;
+    if byz_at.(pid) < max_int then Heap.push events byz_at.(pid) pid
   in
-  let byz_degraded_crash pid r =
-    match (cfg.tamper, Fault.byzantine_from cfg.fault pid) with
-    | None, Some b0 -> b0 <= r
-    | _ -> false
-  in
-  (* A subverted pid must be scheduled at its activation round even if the
-     protocol put it to sleep beyond it. *)
+  (* A subverted pid must also be scheduled at its activation round even if
+     the protocol put it to sleep beyond it. *)
   (match cfg.tamper with
   | Some _ ->
       for pid = 0 to t - 1 do
         match Fault.byzantine_from cfg.fault pid with
         | Some b0 ->
+            byz_at.(pid) <- b0;
             set_wakeup pid
               (match wakeups.(pid) with -1 -> b0 | w -> min w b0)
         | None -> ()
       done
   | None -> ());
+  for pid = 0 to t - 1 do
+    arm pid
+  done;
+  (* Live pids the completion check waits for. A subverted pid never
+     terminates; completion is the honest pids' affair. *)
+  let honest pid = byz_at.(pid) = max_int in
+  let n_running = ref 0 in
+  for pid = 0 to t - 1 do
+    if honest pid then incr n_running
+  done;
+  let retire pid = if honest pid then decr n_running in
+
   (* The adversary's restart schedule, sorted by (round, pid) so revivals in
      the same round happen in pid order — determinism. An entry is *applicable*
      while its pid is down from a round before the scheduled one; entries for
@@ -224,24 +251,26 @@ let run ?recover ?metrics cfg proc =
   in
   let pending_restart () = List.exists applicable !restart_queue in
   let apply_restarts r =
-    let rec go () =
+    (* a loop, not a local recursive closure: this runs every round *)
+    let pending = ref true in
+    while !pending do
       match !restart_queue with
       | (rr, pid) :: rest when rr <= r ->
           restart_queue := rest;
           if applicable (rr, pid) then begin
             statuses.(pid) <- Running;
+            if honest pid then incr n_running;
             incs.(pid) <- incs.(pid) + 1;
             let s, w = recover pid r in
             states.(pid) <- s;
             (match w with Some w0 -> set_wakeup pid w0 | None -> wakeups.(pid) <- -1);
             Fault.note_restart cfg.fault pid r;
+            arm pid;
             Metrics.record_restart metrics pid r;
             trace_ev (Trace.Restarted_ev { pid; round = r })
-          end;
-          go ()
-      | _ -> ()
-    in
-    go ()
+          end
+      | _ -> pending := false
+    done
   in
   let rec min_restart acc = function
     | [] -> acc
@@ -249,8 +278,9 @@ let run ?recover ?metrics cfg proc =
         min_restart (if applicable (rr, p) && rr < acc then rr else acc) rest
   in
   let next_round () =
-    (* Smallest round at which anything can happen; max_int = nothing. *)
-    let c = heap_peek () in
+    (* Smallest round at which anything can happen; max_int = nothing. Fault
+       events are not consulted: they never create a round of their own. *)
+    let c = wake_peek () in
     let c = if !pending_sent_at >= 0 then min c (!pending_sent_at + 1) else c in
     min_restart c !restart_queue
   in
@@ -276,7 +306,6 @@ let run ?recover ?metrics cfg proc =
         in
         (List.rev kept, List.rev dropped)
   in
-  let n_running = ref t in
   let rec commit_work pid r = function
     | [] -> ()
     | u :: rest ->
@@ -323,6 +352,13 @@ let run ?recover ?metrics cfg proc =
         | None -> o.sends)
     | _ -> o.sends
   in
+  let crash pid r =
+    statuses.(pid) <- Crashed r;
+    wakeups.(pid) <- -1;
+    retire pid;
+    Fault.note_crash cfg.fault pid r;
+    Metrics.record_crash metrics pid r
+  in
   let step_pid r pid mail =
     let w = wakeups.(pid) in
     let due = w >= 0 && w <= r in
@@ -336,7 +372,7 @@ let run ?recover ?metrics cfg proc =
                 proc.step pid r states.(pid) mail)
       in
       let decision =
-        if fast then Fault.Survive
+        if not consult_plan then Fault.Survive
         else
           Fault.on_step cfg.fault
             {
@@ -357,7 +393,7 @@ let run ?recover ?metrics cfg proc =
           if o.terminate then begin
             statuses.(pid) <- Terminated r;
             wakeups.(pid) <- -1;
-            decr n_running;
+            retire pid;
             Metrics.record_terminate metrics pid r;
             if observing then trace_ev (Trace.Terminated_ev { pid; round = r })
           end
@@ -381,87 +417,92 @@ let run ?recover ?metrics cfg proc =
           if keep_work then commit_work pid r o.work;
           commit_sends pid r delivered;
           if observing then trace_dropped pid r dropped;
-          statuses.(pid) <- Crashed r;
-          wakeups.(pid) <- -1;
-          Fault.note_crash cfg.fault pid r;
-          Metrics.record_crash metrics pid r;
+          crash pid r;
           Metrics.record_round metrics r;
           if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
     end
   in
-  (* The general sweep: every live pid is visited so silent crashes and
-     Byzantine activations land at exactly the adversary's round. *)
-  let slow_pids r delivering del_idx =
-    for pid = 0 to t - 1 do
-      if alive pid then begin
-        if Fault.crashed_by cfg.fault pid r || byz_degraded_crash pid r then begin
-          statuses.(pid) <- Crashed r;
-          Fault.note_crash cfg.fault pid r;
-          Metrics.record_crash metrics pid r;
-          if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
-        end
-        else if byz_active pid r then begin
-          (* Adversary-controlled: the protocol state is abandoned; the
-             tamper model forges this round's messages. Forged traffic is
-             counted as corruption, not as honest sends — audits and the
-             message bounds judge only what honest processes do. *)
-          (match cfg.tamper with
-          | Some tm -> forge_loop pid r (tm.forge pid ~at:r)
-          | None -> ());
-          set_wakeup pid (r + 1)
-        end
-        else step_pid r pid (if delivering then bufs.(del_idx).(pid) else [])
-      end
+  (* One live pid's turn in round [r]: a due silent crash, then a Byzantine
+     activation, then an ordinary step if it has mail or a due wakeup. *)
+  let visit r pid mail =
+    if silent_at.(pid) <= r then begin
+      crash pid r;
+      if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
+    end
+    else if byz_at.(pid) <= r then begin
+      (* Adversary-controlled: the protocol state is abandoned; the tamper
+         model forges this round's messages. Forged traffic is counted as
+         corruption, not as honest sends — audits and the message bounds
+         judge only what honest processes do. *)
+      (match cfg.tamper with
+      | Some tm -> forge_loop pid r (tm.forge pid ~at:r)
+      | None -> ());
+      set_wakeup pid (r + 1)
+    end
+    else step_pid r pid mail
+  in
+  (* Insertion sort of a.(0 .. n-1): the lists sorted here arrive nearly in
+     order (heap pops at a single round, senders running in pid order). *)
+  let sort_prefix (a : int array) n =
+    for i = 1 to n - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
     done
   in
-  (* The trivial-fault fast path: only the pids that are actually due — a
-     message in the inbox or a wakeup at exactly this round — are visited,
-     in pid order, merging the (already (round, pid)-ordered) heap pops with
-     the sorted inbox-destination list. Observably identical to the sweep:
-     with a trivial plan the non-due pids do nothing there either. *)
-  let due_scratch = Array.make t 0 in
-  let fast_pids r delivering del_idx =
-    let nw = ref 0 in
-    while !heap_n > 0 && !heap_w.(0) <= r do
-      let w = !heap_w.(0) and p = !heap_p.(0) in
-      heap_pop ();
-      if
-        w = r && entry_valid w p
-        && (!nw = 0 || due_scratch.(!nw - 1) <> p)
-      then begin
-        due_scratch.(!nw) <- p;
-        incr nw
-      end
+  (* The pids due at round r without mail: valid wakeups <= r (a rejoiner's
+     may predate its restart round) and live pids with a fault event <= r,
+     each once ([queued_at]), in pid order. *)
+  let due = Array.make t 0 and due_n = ref 0 and due_sorted = ref true in
+  let queued_at = Array.make t (-1) in
+  let queue r p =
+    if queued_at.(p) <> r then begin
+      queued_at.(p) <- r;
+      if !due_n > 0 && due.(!due_n - 1) > p then due_sorted := false;
+      due.(!due_n) <- p;
+      incr due_n
+    end
+  in
+  let collect_due r =
+    due_n := 0;
+    due_sorted := true;
+    while wake.n > 0 && wake.w.(0) <= r do
+      let w = wake.w.(0) and p = wake.p.(0) in
+      Heap.pop wake;
+      if entry_valid w p then queue r p
     done;
+    while events.n > 0 && events.w.(0) <= r do
+      let p = events.p.(0) in
+      Heap.pop events;
+      if alive p then queue r p
+    done;
+    if not !due_sorted then sort_prefix due !due_n;
+    !due_n
+  in
+  (* Visit, in pid order, the union of the due pids and the inbox
+     destinations. *)
+  let visit_pids r delivering del_idx =
+    let nw = collect_due r in
     let mail = touched.(del_idx) in
     let mail_n = if delivering then touched_n.(del_idx) else 0 in
-    if mail_n > 0 then begin
-      (* insertion sort: destinations arrive nearly ordered (senders run in
-         pid order and broadcast to ascending member lists) *)
-      for i = 1 to mail_n - 1 do
-        let v = mail.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && mail.(!j) > v do
-          mail.(!j + 1) <- mail.(!j);
-          decr j
-        done;
-        mail.(!j + 1) <- v
-      done
-    end;
+    sort_prefix mail mail_n;
     let i = ref 0 and j = ref 0 in
     let last = ref (-1) in
-    while !i < !nw || !j < mail_n do
+    while !i < nw || !j < mail_n do
       let p =
-        if !i >= !nw then mail.(!j)
-        else if !j >= mail_n then due_scratch.(!i)
-        else min due_scratch.(!i) mail.(!j)
+        if !i >= nw then mail.(!j)
+        else if !j >= mail_n || due.(!i) <= mail.(!j) then due.(!i)
+        else mail.(!j)
       in
-      if !i < !nw && due_scratch.(!i) = p then incr i;
+      if !i < nw && due.(!i) = p then incr i;
       if !j < mail_n && mail.(!j) = p then incr j;
       if p <> !last then begin
         last := p;
-        if alive p then
-          step_pid r p (if delivering then bufs.(del_idx).(p) else [])
+        if alive p then visit r p (if delivering then bufs.(del_idx).(p) else [])
       end
     done
   in
@@ -484,10 +525,9 @@ let run ?recover ?metrics cfg proc =
     if delivering then pending_sent_at := -1;
     out_idx := (if delivering then 1 - del_idx else del_idx);
     any_sent := false;
-    if fast then fast_pids r delivering del_idx
-    else slow_pids r delivering del_idx;
+    visit_pids r delivering del_idx;
     (* consumed inboxes are cleared whether or not their pid was stepped
-       (crashed and sleeping destinations lose their mail, as before) *)
+       (crashed and sleeping destinations lose their mail) *)
     if delivering then begin
       let ta = touched.(del_idx) and b = bufs.(del_idx) in
       for i = 0 to touched_n.(del_idx) - 1 do
@@ -498,29 +538,13 @@ let run ?recover ?metrics cfg proc =
     if !any_sent then
       with_span ~name:"deliver" ~pid:(-1) ~inc:0 r (fun () -> deliver_commit r)
   in
-  (* A subverted pid never terminates; completion is the honest pids'
-     affair. Without a tamper model nothing changes: byzantine entries
-     degraded to crashes and every pid still retires. *)
-  let retired_or_subverted pid =
-    is_retired statuses.(pid)
-    ||
-    match (cfg.tamper, Fault.byzantine_from cfg.fault pid) with
-    | Some _, Some _ -> true
-    | _ -> false
-  in
-  let all_retired () =
-    if fast then !n_running = 0
-    else
-      let rec go pid = pid >= t || (retired_or_subverted pid && go (pid + 1)) in
-      go 0
-  in
   let rec loop r =
     if r > cfg.max_rounds then Round_limit r
     else begin
       (match cfg.spans with
       | None -> round_body r
       | Some _ -> with_span ~name:"round" ~pid:(-1) ~inc:0 r (fun () -> round_body r));
-      if all_retired () && not (pending_restart ()) then Completed
+      if !n_running = 0 && not (pending_restart ()) then Completed
       else begin
         let r' = next_round () in
         if r' = max_int then Stalled r
@@ -535,8 +559,7 @@ let run ?recover ?metrics cfg proc =
   in
   let outcome =
     let r0 = next_round () in
-    if r0 = max_int then
-      if Array.for_all is_retired statuses then Completed else Stalled 0
-    else loop r0
+    (* nothing scheduled at all: every process is still running *)
+    if r0 = max_int then Stalled 0 else loop r0
   in
   { metrics; statuses; outcome }

@@ -7,6 +7,13 @@
     O(1), so protocols with astronomically long timeouts (Protocol C's
     [2^(n+t)] deadlines) execute quickly while round arithmetic stays exact.
 
+    Faults: a silent crash ({!Fault.silent_from}) or a Byzantine activation
+    ({!Fault.byzantine_from}) takes effect at the first processed round at
+    or after its scheduled round, in the victim's pid-order turn; it never
+    makes a round processed by itself. Only processes with something due
+    are visited, so a round costs O(activity), not O(t), under every
+    adversary.
+
     Determinism: with a fixed fault plan, processes are stepped in increasing
     pid order and inboxes are sorted by sender pid, so every run of the same
     configuration produces the identical execution. *)

@@ -1,0 +1,274 @@
+(* Differential law: [Simkit.Kernel.run] (one due-pid loop with crash,
+   restart and Byzantine activations as heap events) against the plain
+   round sweep of Ref_kernel, on the same protocol, configuration and
+   fault schedule. Both must agree on statuses, outcome, every Metrics
+   reader, the full Trace event list, the observability stream and the
+   round/step/deliver span structure (timestamps aside). *)
+
+open Simkit
+open Types
+module Prng = Dhw_util.Prng
+module C = Campaign
+
+(* Both kernels share one signature; the record lets a case run either. *)
+type kernel = {
+  run :
+    's 'm.
+    recover:(pid -> round -> 's * round option) option ->
+    metrics:Metrics.t option ->
+    'm Kernel.config ->
+    ('s, 'm) process ->
+    'm Kernel.result;
+}
+
+let real = { run = (fun ~recover ~metrics cfg p -> Kernel.run ?recover ?metrics cfg p) }
+let reference = { run = (fun ~recover ~metrics cfg p -> Ref_kernel.run ?recover ?metrics cfg p) }
+
+type seen = {
+  statuses : status array;
+  outcome : Kernel.run_outcome;
+  readers : (string * int) list;
+  events : Trace.event list;
+  stream : Obs.event list;
+  spans : (string * pid * round * int * bool) list;
+}
+
+let readers m ~n ~t =
+  let per name f k = List.init k (fun i -> (Printf.sprintf "%s %d" name i, f m i)) in
+  [
+    ("messages", Metrics.messages m); ("work", Metrics.work m);
+    ("effort", Metrics.effort m); ("rounds", Metrics.rounds m);
+    ("crashes", Metrics.crashes m); ("terminated", Metrics.terminated m);
+    ("restarts", Metrics.restarts m); ("persists", Metrics.persists m);
+    ("corruptions", Metrics.corruptions m); ("rejected", Metrics.rejected m);
+    ("units_covered", Metrics.units_covered m);
+    ("all_units_done", Bool.to_int (Metrics.all_units_done m));
+  ]
+  @ per "unit_multiplicity" Metrics.unit_multiplicity n
+  @ per "work_by" Metrics.work_by t
+  @ per "messages_by" Metrics.messages_by t
+  @ per "persists_by" Metrics.persists_by t
+
+(* Run [k] with every sink attached and collect what it exposes. [metrics]
+   is passed in because harnesses wire stable-storage writes and rejections
+   into the accumulator before the run. *)
+let observe k ~n ~t ~fault ?tamper ?recover ~show ~metrics ~max_rounds proc =
+  let trace = Trace.create () in
+  let stream = ref [] and spans = ref [] in
+  let cfg =
+    Kernel.config ~fault ~max_rounds ~trace ~show ?tamper
+      ~obs:(fun e -> stream := e :: !stream)
+      ~spans:(fun e ->
+        match e with
+        | Obs.Span_begin s -> spans := (s.name, s.pid, s.at, s.inc, true) :: !spans
+        | Obs.Span_end s -> spans := (s.name, s.pid, s.at, s.inc, false) :: !spans
+        | _ -> ())
+      ~n_processes:t ~n_units:n ()
+  in
+  let res = k.run ~recover ~metrics:(Some metrics) cfg proc in
+  {
+    statuses = Array.copy res.statuses;
+    outcome = res.outcome;
+    readers = readers res.metrics ~n ~t;
+    events = Trace.events trace;
+    stream = List.rev !stream;
+    spans = List.rev !spans;
+  }
+
+let first_diff pp a b =
+  let rec go i = function
+    | x :: xs, y :: ys -> if x = y then go (i + 1) (xs, ys) else Some (i, pp x, pp y)
+    | x :: _, [] -> Some (i, pp x, "<end>")
+    | [], y :: _ -> Some (i, "<end>", pp y)
+    | [], [] -> None
+  in
+  go 0 (a, b)
+
+let explain a b =
+  let outcome = function
+    | Kernel.Completed -> "completed"
+    | Kernel.Stalled r -> Printf.sprintf "stalled@%d" r
+    | Kernel.Round_limit r -> Printf.sprintf "round-limit@%d" r
+  in
+  let diff what pp xs ys =
+    Option.map
+      (fun (i, x, y) -> Printf.sprintf "%s #%d: kernel %s, sweep %s" what i x y)
+      (first_diff pp xs ys)
+  in
+  List.find_map Fun.id
+    [
+      (if a.outcome <> b.outcome then
+         Some (Printf.sprintf "outcome: kernel %s, sweep %s" (outcome a.outcome) (outcome b.outcome))
+       else None);
+      diff "status" status_to_string (Array.to_list a.statuses) (Array.to_list b.statuses);
+      diff "metric" (fun (k, v) -> Printf.sprintf "%s=%d" k v) a.readers b.readers;
+      diff "trace event" (Format.asprintf "%a" Trace.pp_event) a.events b.events;
+      diff "obs event" (fun e -> Dhw_util.Jsonw.to_string (Obs.event_to_json e)) a.stream b.stream;
+      diff "span"
+        (fun (name, pid, at, inc, b) ->
+          Printf.sprintf "%s %s pid=%d at=%d inc=%d" (if b then "begin" else "end") name pid at inc)
+        a.spans b.spans;
+    ]
+
+(* ---- the cases ------------------------------------------------------ *)
+
+type variant = A | A_tamper | B | A_rec | A_val | A_val_untampered
+
+let variant_name = function
+  | A -> "A"
+  | A_tamper -> "A+tamper"
+  | B -> "B"
+  | A_rec -> "A+rec"
+  | A_val -> "A+val"
+  | A_val_untampered -> "A+val/no-tamper"
+
+let variants = [| A; A_tamper; B; A_rec; A_val; A_val_untampered |]
+
+type plan =
+  | Sched of C.Schedule.t
+  | Random of { seed : int64; victims : int; window : int; restarts : (pid * round) list }
+  | Storm of { seed : int64; max_crashes : int }
+
+let fault_of ~t = function
+  | Sched s -> C.Schedule.to_fault s
+  | Random { seed; victims; window; restarts } ->
+      let base = Fault.random ~seed ~t ~victims ~window in
+      if restarts = [] then base else Fault.with_restarts restarts base
+  | Storm { seed; max_crashes } ->
+      Fault.crash_active_after_random_work ~seed ~min_units:1 ~max_units:4 ~max_crashes
+
+let plan_to_string = function
+  | Sched s -> C.Schedule.print s
+  | Random { seed; victims; window; restarts } ->
+      Printf.sprintf "Fault.random seed=%Ld victims=%d window=%d restarts=[%s]" seed
+        victims window
+        (String.concat "; " (List.map (fun (p, r) -> Printf.sprintf "%d@%d" p r) restarts))
+  | Storm { seed; max_crashes } ->
+      Printf.sprintf "crash_active_after_random_work seed=%Ld max_crashes=%d" seed max_crashes
+
+type case = { variant : variant; n : int; t : int; plan : plan }
+
+let case_to_string c =
+  Printf.sprintf "%s n=%d t=%d\n%s" (variant_name c.variant) c.n c.t (plan_to_string c.plan)
+
+(* Both kernels run [c] from scratch: fresh fault plan, fresh process
+   state, fresh stable storage. *)
+let run_case k c =
+  let spec = Doall.Spec.make ~n:c.n ~t:c.t in
+  let grid = Doall.Grid.make spec in
+  let fault = fault_of ~t:c.t c.plan in
+  let n = c.n and t = c.t in
+  let max_rounds = Doall.Fuzz.byz_max_rounds spec ~window:(4 * n) in
+  let fresh () = Metrics.create ~n_processes:t ~n_units:n in
+  match c.variant with
+  | A | B ->
+      let p = if c.variant = A then Doall.Protocol_a.protocol else Doall.Protocol_b.protocol in
+      let (Doall.Protocol.Packed { proc; show }) = p.make spec in
+      observe k ~n ~t ~fault ~show ~metrics:(fresh ()) ~max_rounds proc
+  | A_tamper ->
+      observe k ~n ~t ~fault ~tamper:(Doall.Validate.tamper_plain grid)
+        ~show:Doall.Protocol_a.show_msg ~metrics:(fresh ()) ~max_rounds
+        (Doall.Protocol_a.proc_on_grid grid)
+  | A_rec ->
+      let metrics = fresh () in
+      let stable =
+        Stable.create ~on_write:(Metrics.record_persist metrics) ~n_processes:t ()
+      in
+      let ad = Doall.Recovery.adapter_a grid in
+      observe k ~n ~t ~fault
+        ~recover:(Doall.Recovery.recover_hook stable ~rejoin_rounds:3)
+        ~show:(Doall.Recovery.show_rmsg ad.show) ~metrics ~max_rounds
+        (Doall.Recovery.harden ad ~stable)
+  | A_val | A_val_untampered ->
+      let metrics = fresh () in
+      let proc =
+        Doall.Validate.proc_validated grid ~on_reject:(fun ~pid:_ ~at:_ ->
+            Metrics.record_reject metrics)
+      in
+      let tamper =
+        if c.variant = A_val then Some (Doall.Validate.tamper_signed grid) else None
+      in
+      observe k ~n ~t ~fault ?tamper ~show:Doall.Validate.show_signed ~metrics
+        ~max_rounds proc
+
+let agree c =
+  let a = run_case real c and b = run_case reference c in
+  match explain a b with
+  | None -> true
+  | Some why -> QCheck2.Test.fail_reportf "%s\n%s" (case_to_string c) why
+
+(* Schedules from every sampler and hand-built plan family, over small
+   instances so each case runs in milliseconds under the O(t) sweep. *)
+let gen_case =
+  let open QCheck2.Gen in
+  let* variant = oneofa variants in
+  let* t = int_range 1 7 in
+  let* n = int_range 1 36 in
+  let* seed = int in
+  let* family = int_range 0 5 in
+  let g = Prng.create (Int64.of_int seed) in
+  let window = (3 * n) + 12 in
+  let plan =
+    match family with
+    | 0 -> Sched (C.sample g ~t ~window)
+    | 1 | 2 -> Sched (C.sample_recovery g ~t ~window ~restart_gap:(1 + Prng.int g 6))
+    | 3 -> Sched (C.sample_byz g ~t ~window ~byz:(Prng.int g t))
+    | 4 when t >= 2 ->
+        let victims = 1 + Prng.int g (t - 1) in
+        let restarts =
+          List.init (Prng.int g 3) (fun _ -> (Prng.int g t, Prng.int g (window + 6)))
+        in
+        Random { seed = Int64.of_int seed; victims; window; restarts }
+    | _ -> Storm { seed = Int64.of_int seed; max_crashes = Prng.int g t }
+  in
+  return { variant; n; t; plan }
+
+let law =
+  Helpers.qcheck_case ~count:1000 ~name:"kernel = reference sweep on random schedules"
+    gen_case agree
+
+(* A rejoiner whose recovery hook asks for a wakeup before its restart
+   round: the sweep steps any wakeup <= r, so it steps in the restart round
+   itself — the merged loop must not discard the early heap entry. *)
+let test_early_rejoin_wakeup () =
+  let proc =
+    {
+      init = (fun pid -> (0, Some (if pid = 0 then 0 else 40)));
+      step =
+        (fun pid r k _ ->
+          if k >= 8 then { state = k; sends = []; work = []; terminate = true; wakeup = None }
+          else
+            {
+              state = k + 1;
+              sends = (if pid = 0 then [ { dst = 2; payload = r } ] else []);
+              work = [ (pid + k) mod 3 ];
+              terminate = false;
+              wakeup = Some (r + 1);
+            });
+    }
+  in
+  let sched =
+    C.Schedule.make
+      [
+        { C.Schedule.victim = 1; at = 2; mode = C.Schedule.Silent };
+        { victim = 1; at = 5; mode = C.Schedule.Restart };
+      ]
+  in
+  let go k =
+    observe k ~n:3 ~t:3 ~fault:(C.Schedule.to_fault sched) ~show:string_of_int
+      ~recover:(fun _ r -> (0, Some (r - 3)))
+      ~metrics:(Metrics.create ~n_processes:3 ~n_units:3)
+      ~max_rounds:1000 proc
+  in
+  let a = go real and b = go reference in
+  (match explain a b with None -> () | Some why -> Alcotest.fail why);
+  Alcotest.(check bool)
+    "rejoiner steps in its restart round" true
+    (List.mem (Trace.Stepped { pid = 1; round = 5 }) a.events)
+
+let suite =
+  [
+    Alcotest.test_case "early rejoin wakeup steps at restart" `Quick
+      test_early_rejoin_wakeup;
+    law;
+  ]

@@ -4,6 +4,7 @@ let () =
       ("util", Test_util.suite);
       ("unitset", Test_unitset.suite);
       ("sim-kernel", Test_sim.suite);
+      ("kernel-diff", Test_kernel_diff.suite);
       ("audit", Test_audit.suite);
       ("grid", Test_grid.suite);
       ("protocol-A", Test_protocol_a.suite);
