@@ -1424,7 +1424,10 @@ let e24 () =
    and the due-pid round loop exist for. The words/round column is the
    proof that the round loop itself does not allocate: it must stay flat
    (near-zero per process-step) as n grows by two orders of magnitude,
-   with or without crashes. D is capped at 10^6: its agreement phases are
+   with or without crashes. Rounds are the highest round number, which
+   A's deadline ladder pushes to ~10^9 under the storm, so words/effort
+   (minor words per unit of work plus message) is the column that shows
+   what each action costs. D is capped at 10^6: its agreement phases are
    t^2 messages each, which dominates long before n does. *)
 
 type scale_row = {
@@ -1432,6 +1435,7 @@ type scale_row = {
   sc_n : int;
   sc_wall_s : float;
   sc_words_per_round : float;
+  sc_words_per_effort : float;
   sc_ok : bool;
 }
 
@@ -1454,7 +1458,8 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) ?(d_cap = 1_000_000) ()
             agreement traffic is t^2 per phase." t d_cap)
       [ ("protocol", Table.Left); ("n", Right); ("t", Right); ("rounds", Right);
         ("work", Right); ("msgs", Right); ("wall ms", Right);
-        ("minor words", Right); ("words/round", Right); ("ok", Left) ]
+        ("minor words", Right); ("words/round", Right); ("words/effort", Right);
+        ("ok", Left) ]
   in
   let rows = ref [] in
   List.iter
@@ -1471,6 +1476,7 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) ?(d_cap = 1_000_000) ()
             let wall = Unix.gettimeofday () -. t0 in
             let rounds = max 1 (m_rounds r) in
             let wpr = words /. float_of_int rounds in
+            let wpe = words /. float_of_int (max 1 (m_work r + m_msgs r)) in
             let ok = Doall.Runner.correct r in
             Table.add_row table
               [
@@ -1480,11 +1486,12 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) ?(d_cap = 1_000_000) ()
                 Printf.sprintf "%.1f" (wall *. 1000.);
                 Table.fmt_int (int_of_float words);
                 Printf.sprintf "%.1f" wpr;
+                Printf.sprintf "%.1f" wpe;
                 (if ok then "ok" else "FAIL");
               ];
             rows :=
               { sc_proto = name; sc_n = n; sc_wall_s = wall;
-                sc_words_per_round = wpr; sc_ok = ok }
+                sc_words_per_round = wpr; sc_words_per_effort = wpe; sc_ok = ok }
               :: !rows
           end)
         scales;
@@ -1520,12 +1527,15 @@ let scale () =
   ignore (e25 ())
 
 (* The @scale-smoke CI leg: the sweep truncated to n <= 10^6, with hard
-   budgets asserted on the n=10^6 runs of A, failure-free and under the
-   crash storm — wall-clock and minor-words-per-round ceilings that fail
-   the build (exit 1) when the kernel hot path regresses into per-round
-   allocation or superlinear scheduling. Returns the violations; [] =
-   within budget. *)
+   budgets asserted on the n=10^6 runs of A and B, failure-free and under
+   the crash storm — wall-clock, minor-words-per-round and
+   minor-words-per-effort ceilings that fail the build (exit 1) when the
+   kernel hot path regresses into per-round allocation or superlinear
+   scheduling, or a protocol step into per-action allocation that the
+   storm's ~10^9 rounds would hide from words/round. Returns the
+   violations; [] = within budget. *)
 let scale_smoke ?(wall_budget_s = 60.) ?(words_per_round_ceiling = 256.) () =
+  let words_per_effort_ceiling = 64. in
   reset ();
   let rows = e25 ~scales:[ 100_000; 1_000_000 ] () in
   let violations = ref [] in
@@ -1546,6 +1556,9 @@ let scale_smoke ?(wall_budget_s = 60.) ?(words_per_round_ceiling = 256.) () =
               wall_budget_s;
           if sc.sc_words_per_round > words_per_round_ceiling then
             add "%s n=1000000 allocates %.1f minor words/round > ceiling %.0f"
-              proto sc.sc_words_per_round words_per_round_ceiling)
-    [ "A"; "A crash-storm"; "B crash-storm" ];
+              proto sc.sc_words_per_round words_per_round_ceiling;
+          if sc.sc_words_per_effort > words_per_effort_ceiling then
+            add "%s n=1000000 allocates %.1f minor words/effort > ceiling %.0f"
+              proto sc.sc_words_per_effort words_per_effort_ceiling)
+    [ "A"; "B"; "A crash-storm"; "B crash-storm" ];
   List.rev !violations

@@ -8,7 +8,7 @@ let show_msg = Ckpt_script.show_ord
 
 type state =
   | Awaiting_fd of { retired_below : ISet.t; last : Ckpt_script.last }
-  | Running_script of Ckpt_script.action list
+  | Running_script of Ckpt_script.script
 
 let idle st =
   {

@@ -4,11 +4,11 @@ type msg = Ckpt of int  (** [Ckpt c]: the first [c] units are done *)
 
 let show_msg (Ckpt c) = Printf.sprintf "ckpt(%d)" c
 
-type action = Do_unit of int | Announce of int
-
 type state =
   | Waiting of { completed : int }  (** highest checkpoint received *)
-  | Active of action list
+  | Active of { next : int; announce : bool }
+      (** the first [next] units are done; this round announces them if
+          [announce], else performs unit [next] (none left once [next = n]) *)
 
 let make ~period spec =
   let n = Spec.n spec in
@@ -17,46 +17,42 @@ let make ~period spec =
   (* Active lifetime: at most one round per unit plus one per checkpoint. *)
   let lifetime = n + n_ckpts + 2 in
   let deadline j = j * lifetime in
-  let others j = List.filter (fun k -> k <> j) (List.init t Fun.id) in
-  let script_from completed =
-    let rec go c acc =
-      if c > n then List.rev acc
-      else
-        let acc = Do_unit (c - 1) :: acc in
-        let acc = if c mod period = 0 || c = n then Announce c :: acc else acc in
-        go (c + 1) acc
-    in
-    go (completed + 1) []
-  in
-  let run_active pid r script =
-    match script with
-    | [] ->
-        (* Only reachable on takeover with everything already done. *)
-        { state = Active []; sends = []; work = []; terminate = true; wakeup = None }
-    | Do_unit u :: rest ->
-        {
-          state = Active rest;
-          sends = [];
-          work = [ u ];
-          terminate = rest = [];
-          wakeup = Some (r + 1);
-        }
-    | Announce c :: rest ->
-        {
-          state = Active rest;
-          sends = List.map (fun dst -> { dst; payload = Ckpt c }) (others pid);
-          work = [];
-          terminate = rest = [];
-          wakeup = Some (r + 1);
-        }
+  let run_active pid r next announce =
+    if announce then
+      let payload = Ckpt next in
+      let rec others k acc =
+        if k < 0 then acc
+        else others (k - 1) (if k = pid then acc else { dst = k; payload } :: acc)
+      in
+      {
+        state = Active { next; announce = false };
+        sends = others (t - 1) [];
+        work = [];
+        terminate = next >= n;
+        wakeup = Some (r + 1);
+      }
+    else if next >= n then
+      (* Only reachable on takeover with everything already done. *)
+      { state = Active { next; announce }; sends = []; work = []; terminate = true;
+        wakeup = None }
+    else
+      let c = next + 1 in
+      (* the last unit is always announced, so a work round never terminates *)
+      {
+        state = Active { next = c; announce = c mod period = 0 || c = n };
+        sends = [];
+        work = [ next ];
+        terminate = false;
+        wakeup = Some (r + 1);
+      }
   in
   let init pid =
-    if pid = 0 then (Active (script_from 0), Some 0)
+    if pid = 0 then (Active { next = 0; announce = false }, Some 0)
     else (Waiting { completed = 0 }, Some (deadline pid))
   in
   let step pid r st inbox =
     match st with
-    | Active script -> run_active pid r script
+    | Active { next; announce } -> run_active pid r next announce
     | Waiting { completed } ->
         let completed =
           List.fold_left (fun acc { payload = Ckpt c; _ } -> max acc c) completed inbox
@@ -69,7 +65,7 @@ let make ~period spec =
             terminate = true;
             wakeup = None;
           }
-        else if r >= deadline pid then run_active pid r (script_from completed)
+        else if r >= deadline pid then run_active pid r completed false
         else
           {
             state = Waiting { completed };

@@ -5,7 +5,15 @@
     subchunk by subchunk, partially checkpointing each subchunk to the
     own-group remainder and fully checkpointing each chunk to every higher
     group — and differ only in how a process decides to {e become} active.
-    This module builds the per-round action scripts for an active process. *)
+
+    As in Figure 1, where an active process's place is just the last
+    completed subchunk [c] and the group [g] being informed, a {!script} is
+    an O(1) cursor over that sequence, not a list of its actions: the
+    next unit of subchunk [c], the partial checkpoint of [c], the full
+    checkpoint [(c, g)] to group [g], its echo to the own-group
+    remainder, or finished. {!run_active} takes one action per
+    round and moves the cursor in O(1); a takeover only picks the starting
+    position. *)
 
 open Simkit.Types
 
@@ -14,16 +22,12 @@ type ord = Partial of int | Full of int * int
 
 val show_ord : ord -> string
 
-type action = Do_units of int * int | Bcast of ord * pid list
-(** [Bcast] = one synchronous round; [Do_units (lo, hi)] = the half-open
-    run of work units [lo..hi-1], still executed {e one unit per round} by
-    {!run_active} (the range is a compression of the former per-unit
-    actions, not a batching change — scripts are O(subchunks) instead of
-    O(n) in space). *)
+type script
+(** An active process's position in its script: O(1) words, immutable. *)
 
-val script_rounds : action list -> int
+val script_rounds : script -> int
 (** Number of synchronous rounds the script takes to drain: one per
-    broadcast, [hi - lo] per unit range. *)
+    broadcast (recipients or not), one per work unit. *)
 
 type last = No_msg | Last_ord of { ord : ord; src : pid }
 (** A process's knowledge: the last ordinary message it received. *)
@@ -31,16 +35,16 @@ type last = No_msg | Last_ord of { ord : ord; src : pid }
 val c_of_last : last -> int
 (** Highest completed subchunk the message vouches for; [0] for [No_msg]. *)
 
-val work_script : Grid.t -> pid -> int -> action list
+val work_script : Grid.t -> pid -> int -> script
 (** [work_script grid j from_sub] — Figure 1 lines 10–14: perform subchunks
-    [from_sub .. S], checkpointing as required, as process [j]. *)
+    [from_sub .. S], checkpointing as required, as process [j]. O(1). *)
 
-val takeover_script : Grid.t -> pid -> last -> action list
+val takeover_script : Grid.t -> pid -> last -> script
 (** [takeover_script grid j last] — Figure 1 lines 1–9 followed by the work
     script: complete the checkpoint the previous active process died in,
     then resume the work after the last completed subchunk. The first action
     is always a broadcast to [j]'s own-group remainder (Protocol B's
-    one-round go-ahead response relies on this). *)
+    one-round go-ahead response relies on this). O(1). *)
 
 val knows_all_done : Grid.t -> pid -> last -> bool
 (** True iff the message says all work is done and [j]'s obligations are
@@ -51,10 +55,12 @@ val run_active :
   ?map_dst:(pid -> pid) ->
   ?map_unit:(int -> int) ->
   round ->
-  action list ->
-  (action list, 'm) outcome
-(** Execute the head action as this round's outcome; terminates on script
-    exhaustion. [map_dst]/[map_unit] translate script-local ranks and unit
+  script ->
+  (script, 'm) outcome
+(** Take the script's current action as this round's outcome and advance
+    the cursor; the round that takes the last action terminates, as does a
+    step on a finished script. A broadcast's sends share one [inject]ed
+    payload. [map_dst]/[map_unit] translate script-local ranks and unit
     indices to real pids and unit ids (used by Protocol D's embedded copy of
     Protocol A, which runs over the surviving processes and the remaining
     units). *)

@@ -29,13 +29,11 @@ let group_of g pid =
 
 let members g grp =
   if grp < 1 || grp > g.n_groups then invalid_arg "Grid.members";
-  let lo = (grp - 1) * g.s in
-  let hi = min (grp * g.s) (Spec.processes g.spec) - 1 in
-  List.init (hi - lo + 1) (fun i -> lo + i)
+  ((grp - 1) * g.s, min (grp * g.s) (Spec.processes g.spec))
 
 let members_above g pid =
-  let grp = group_of g pid in
-  List.filter (fun k -> k > pid) (members g grp)
+  let _, hi = members g (group_of g pid) in
+  (pid + 1, hi)
 
 let rank_in_group g pid = pid mod g.s
 
@@ -55,9 +53,8 @@ let subchunk_size_max g = Intmath.ceil_div (Spec.n g.spec) g.n_sub
 
 let is_chunk_end g c = c mod g.s = 0 || c = g.n_sub
 
-let n_chunk_ends g =
-  let rec count c acc = if c > g.n_sub then acc else count (c + 1) (if is_chunk_end g c then acc + 1 else acc) in
-  count 1 0
+(* the multiples of s in [1, S], plus S itself when it is not one *)
+let n_chunk_ends g = Intmath.ceil_div g.n_sub g.s
 
 let max_active_rounds g =
   let n = Spec.n g.spec in

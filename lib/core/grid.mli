@@ -37,12 +37,14 @@ val n_groups : t -> int
 val group_of : t -> int -> int
 (** Group (1-based) of a process id (0-based). *)
 
-val members : t -> int -> int list
-(** Pids of a group, ascending. *)
+val members : t -> int -> int * int
+(** Pids of a group as a half-open range [(lo, hi)], in O(1).
+    @raise Invalid_argument if the group is outside [1 .. n_groups]. *)
 
-val members_above : t -> int -> int list
+val members_above : t -> int -> int * int
 (** Own-group members with strictly larger pid — the "remainder of group
-    [g_j]" that partial checkpoints broadcast to. *)
+    [g_j]" that partial checkpoints broadcast to — as a half-open range
+    [(pid + 1, hi)]; empty for the last pid of a group. *)
 
 val rank_in_group : t -> int -> int
 (** The paper's [ȷ̄ = j mod √t]: 0-based rank within the group. *)
@@ -70,7 +72,8 @@ val is_chunk_end : t -> int -> bool
     multiple of [s], or [c = S]. *)
 
 val n_chunk_ends : t -> int
-(** Number of subchunks for which {!is_chunk_end} holds. *)
+(** Number of subchunks for which {!is_chunk_end} holds: [⌈S/s⌉], in
+    O(1). *)
 
 (** {1 Deadline budget} *)
 

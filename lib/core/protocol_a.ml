@@ -9,7 +9,7 @@ let show_msg = Ckpt_script.show_ord
    incarnations it is the static [DD(j) = j·L] ladder, but a rejoiner
    resumed by [Doall.Recovery] gets a fresh deadline staggered into the
    future relative to its restart round. *)
-type state = Waiting of { last : last; deadline : round } | Active of action list
+type state = Waiting of { last : last; deadline : round } | Active of script
 
 let deadline grid j = j * Grid.max_active_rounds grid
 

@@ -8,7 +8,7 @@ let show_msg = function Ord o -> show_ord o | Go_ahead -> "go_ahead"
 type mode =
   | Passive
   | Preactive of { next_target : pid }
-  | Active of action list
+  | Active of script
 
 type pstate = { mode : mode; last : last; last_at : round }
 

@@ -58,7 +58,7 @@ type mode =
   | Working of working_st
   | Agreeing of agreeing_st
   | RWaiting of { ra : ra_ctx; last : Ckpt_script.last }
-  | RActive of { ra : ra_ctx; script : Ckpt_script.action list }
+  | RActive of { ra : ra_ctx; script : Ckpt_script.script }
 
 let iset_of_range k = ISet.of_list (List.init k Fun.id)
 

@@ -49,7 +49,7 @@ type mode =
   | Collecting of collecting_st
   | Awaiting of awaiting_st
   | FWait of { deadline : round; own_c : int; last : Ckpt_script.last }
-  | FActive of Ckpt_script.action list
+  | FActive of Ckpt_script.script
 
 type state = { latest : (int * Uset.t * ISet.t) option; mode : mode }
 

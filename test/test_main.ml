@@ -7,6 +7,7 @@ let () =
       ("kernel-diff", Test_kernel_diff.suite);
       ("audit", Test_audit.suite);
       ("grid", Test_grid.suite);
+      ("ckpt-script", Test_ckpt_script.suite);
       ("protocol-A", Test_protocol_a.suite);
       ("protocol-B", Test_protocol_b.suite);
       ("protocol-C", Test_protocol_c.suite);
