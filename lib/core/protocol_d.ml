@@ -28,6 +28,8 @@ type ra_ctx = {
   ra_deadline : round;
 }
 
+(* A work phase. Its round cursor lives beside it in [Working], so an
+   ordinary work round allocates a two-field block, not a copy of this. *)
 type working_st = {
   w_phase : int;
   s_after : Uset.t;  (* S minus my own slice *)
@@ -35,7 +37,6 @@ type working_st = {
   w_round0 : int;  (* 1 in phase 1 (no grace round), 0 afterwards *)
   slice : Uset.t;
   slice_n : int;  (* [Uset.cardinal slice], precomputed *)
-  idx : int;  (* rounds of this work phase already spent *)
   block : int;  (* ⌈|S|/|T|⌉ = total work-phase rounds *)
   (* agreement traffic that arrived early from peers one round ahead: *)
   stash_s : Uset.t;
@@ -55,7 +56,7 @@ type agreeing_st = {
 }
 
 type mode =
-  | Working of working_st
+  | Working of { w : working_st; idx : int (* work rounds already spent *) }
   | Agreeing of agreeing_st
   | RWaiting of { ra : ra_ctx; last : Ckpt_script.last }
   | RActive of { ra : ra_ctx; script : Ckpt_script.script }
@@ -63,6 +64,15 @@ type mode =
 let iset_of_range k = ISet.of_list (List.init k Fun.id)
 
 let grade set x = ISet.cardinal (ISet.filter (fun y -> y < x) set)
+
+(* One envelope per member of [set] other than [pid], in increasing pid
+   order, every one carrying the same [payload]. *)
+let broadcast set pid payload =
+  List.rev
+    (ISet.fold (fun dst acc -> if dst = pid then acc else { dst; payload } :: acc) set [])
+
+let marked b p = Bytes.get b p <> '\000'
+let mark b p = Bytes.set b p '\001'
 
 let slice_of s live pid block =
   let rank = grade live pid in
@@ -84,17 +94,20 @@ let protocol_with_alpha ~alpha ~name =
       let slice = slice_of s live pid block in
       Working
         {
-          w_phase = phase;
-          s_after = Uset.diff s slice;
-          slice_n = Uset.cardinal slice;
-          w_live = live;
-          w_round0 = round0;
-          slice;
+          w =
+            {
+              w_phase = phase;
+              s_after = Uset.diff s slice;
+              slice_n = Uset.cardinal slice;
+              w_live = live;
+              w_round0 = round0;
+              slice;
+              block;
+              stash_s = s (* an upper bound; intersections only shrink it *);
+              stash_t = ISet.empty;
+              stash_done = None;
+            };
           idx = 0;
-          block;
-          stash_s = s (* an upper bound; intersections only shrink it *);
-          stash_t = ISet.empty;
-          stash_done = None;
         }
     in
     let enter_revert ~s ~live pid r =
@@ -130,55 +143,70 @@ let protocol_with_alpha ~alpha ~name =
         wakeup = o.wakeup;
       }
     in
+    (* [ra_ranks] comes from [ISet.elements], so it is sorted. *)
     let rank_of_pid ra pid =
-      let rec find i =
-        if i >= Array.length ra.ra_ranks then None
-        else if ra.ra_ranks.(i) = pid then Some i
-        else find (i + 1)
+      let rec find lo hi =
+        if lo >= hi then None
+        else
+          let mid = (lo + hi) / 2 in
+          let p = ra.ra_ranks.(mid) in
+          if p = pid then Some mid
+          else if p < pid then find (mid + 1) hi
+          else find lo mid
       in
-      find 0
+      find 0 (Array.length ra.ra_ranks)
     in
-    let init pid =
-      let all = iset_of_range t in
-      let units = Uset.of_range 0 n in
-      (enter_work ~phase:1 ~s:units ~live:all ~round0:1 pid, Some 0)
-    in
+    let all = iset_of_range t in
+    let units = Uset.of_range 0 n in
+    let init pid = (enter_work ~phase:1 ~s:units ~live:all ~round0:1 pid, Some 0) in
     (* One agreement iteration: merge the inbox, apply removals, decide
        doneness, broadcast, and either continue, move to the next work
        phase, revert to Protocol A, or terminate. *)
     let agree_step pid r a inbox =
-      let views =
-        List.filter_map
-          (fun { src; payload; _ } ->
-            match payload with
-            | View { phase; s; live; done_ } when phase = a.a_phase ->
-                Some (src, s, live, done_)
-            | View _ | AOrd _ -> None)
-          inbox
-      in
-      let received = ISet.of_list (List.map (fun (src, _, _, _) -> src) views) in
-      let s, live_new, adopted =
-        List.fold_left
-          (fun (s, tn, ad) (_, vs, vt, done_) ->
-            if done_ then (vs, vt, Some (vs, vt))
-            else (Uset.inter s vs, ISet.union tn vt, ad))
-          (a.a_s, a.a_live_new, a.a_adopted)
-          views
-      in
+      (* One pass over the inbox into two scratch bitmaps that never leave
+         this step: [heard] marks this phase's senders, plus [pid] itself
+         so that u' is [a_u] physically when nobody is newly suspected;
+         [t_bits] accumulates T. The last done view is adopted wholesale,
+         which makes every undone view irrelevant, so undone views stop
+         contributing once one is adopted. *)
+      let heard = Bytes.make t '\000' and t_bits = Bytes.make t '\000' in
+      let mark_t = mark t_bits in
+      mark heard pid;
+      let s = ref a.a_s in
+      (* the last done view's (S, T), boxed once after the pass *)
+      let done_s = ref a.a_s and done_t = ref a.a_live_new and heard_done = ref false in
+      List.iter
+        (fun { src; payload; _ } ->
+          match payload with
+          | View { phase; s = vs; live; done_ } when phase = a.a_phase ->
+              mark heard src;
+              if done_ then begin
+                done_s := vs;
+                done_t := live;
+                heard_done := true
+              end
+              else if not !heard_done && Option.is_none a.a_adopted then begin
+                s := Uset.inter !s vs;
+                ISet.iter mark_t live
+              end
+          | View _ | AOrd _ -> ())
+        inbox;
+      let adopted = if !heard_done then Some (!done_s, !done_t) else a.a_adopted in
       let counter = a.a_round0 + a.a_iter - 1 in
       let u' =
-        if counter >= 1 then ISet.add pid (ISet.inter a.a_u received) else a.a_u
+        if counter >= 1 then ISet.add pid (ISet.filter (marked heard) a.a_u) else a.a_u
       in
-      let stable = ISet.equal u' a.a_u in
+      let stable = u' == a.a_u || ISet.equal u' a.a_u in
       let s, live_new =
-        match adopted with Some (s, tn) -> (s, tn) | None -> (s, live_new)
+        match adopted with
+        | Some view -> view
+        | None ->
+            ISet.iter mark_t a.a_live_new;
+            (!s, ISet.filter (marked t_bits) all)
       in
-      let done_ = adopted <> None || (stable && counter >= 1) in
+      let done_ = Option.is_some adopted || (stable && counter >= 1) in
       let bcast =
-        List.map
-          (fun dst ->
-            { dst; payload = View { phase = a.a_phase; s; live = live_new; done_ } })
-          (ISet.elements (ISet.remove pid u'))
+        broadcast u' pid (View { phase = a.a_phase; s; live = live_new; done_ })
       in
       if not done_ then
         {
@@ -208,27 +236,30 @@ let protocol_with_alpha ~alpha ~name =
     in
     let step pid r st inbox =
       match st with
-      | Working w ->
+      | Working { w; idx } ->
           (* Stash agreement traffic from peers up to one round ahead. *)
           let w =
-            List.fold_left
-              (fun w { payload; _ } ->
-                match payload with
-                | View { phase; s; live; done_ } when phase = w.w_phase ->
-                    if done_ then { w with stash_done = Some (s, live) }
-                    else
-                      {
-                        w with
-                        stash_s = Uset.inter w.stash_s s;
-                        stash_t = ISet.union w.stash_t live;
-                      }
-                | View _ | AOrd _ -> w)
-              w inbox
+            match inbox with
+            | [] -> w
+            | _ ->
+                List.fold_left
+                  (fun w { payload; _ } ->
+                    match payload with
+                    | View { phase; s; live; done_ } when phase = w.w_phase ->
+                        if done_ then { w with stash_done = Some (s, live) }
+                        else
+                          {
+                            w with
+                            stash_s = Uset.inter w.stash_s s;
+                            stash_t = ISet.union w.stash_t live;
+                          }
+                    | View _ | AOrd _ -> w)
+                  w inbox
           in
-          let work = if w.idx < w.slice_n then [ Uset.nth w.slice w.idx ] else [] in
-          if w.idx < w.block - 1 then
+          let work = if idx < w.slice_n then [ Uset.nth w.slice idx ] else [] in
+          if idx < w.block - 1 then
             {
-              state = Working { w with idx = w.idx + 1 };
+              state = Working { w; idx = idx + 1 };
               sends = [];
               work;
               terminate = false;
@@ -241,15 +272,8 @@ let protocol_with_alpha ~alpha ~name =
             let s = Uset.inter w.s_after w.stash_s in
             let live_new = ISet.add pid w.stash_t in
             let bcast =
-              List.map
-                (fun dst ->
-                  {
-                    dst;
-                    payload =
-                      View
-                        { phase = w.w_phase; s; live = ISet.singleton pid; done_ = false };
-                  })
-                (ISet.elements (ISet.remove pid w.w_live))
+              broadcast w.w_live pid
+                (View { phase = w.w_phase; s; live = ISet.singleton pid; done_ = false })
             in
             {
               state =

@@ -507,13 +507,25 @@ let run ?recover ?metrics cfg proc =
     done
   in
   let cmp_src a b = compare a.src b.src in
+  (* Inboxes are delivered stably sorted by sender, for determinism. Senders
+     run in increasing pid order and [enqueue] conses, so an inbox arrives
+     in non-increasing sender order; when no sender repeats it is strictly
+     decreasing, and its reversal is then the one sorted order. A sender
+     with two messages for one destination needs the stable sort. *)
+  let rec strictly_decreasing = function
+    | a :: (b :: _ as rest) -> a.src > b.src && strictly_decreasing rest
+    | _ -> true
+  in
+  let by_sender = function
+    | ([] | [ _ ]) as l -> l
+    | l -> if strictly_decreasing l then List.rev l else List.stable_sort cmp_src l
+  in
   let deliver_commit r =
-    (* Inboxes sorted by sender for determinism. *)
     let oi = !out_idx in
     let ta = touched.(oi) and b = bufs.(oi) in
     for i = 0 to touched_n.(oi) - 1 do
       let dst = ta.(i) in
-      b.(dst) <- List.sort cmp_src b.(dst)
+      b.(dst) <- by_sender b.(dst)
     done;
     pending_sent_at := r;
     pending_idx := oi

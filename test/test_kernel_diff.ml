@@ -3,7 +3,9 @@
    round sweep of Ref_kernel, on the same protocol, configuration and
    fault schedule. Both must agree on statuses, outcome, every Metrics
    reader, the full Trace event list, the observability stream and the
-   round/step/deliver span structure (timestamps aside). *)
+   round/step/deliver span structure (timestamps aside). The sweep
+   stable-sorts every inbox by sender; the kernel reverses it when it can,
+   which the D and D-coord variants and the double-send case exercise. *)
 
 open Simkit
 open Types
@@ -84,7 +86,8 @@ let first_diff pp a b =
   in
   go 0 (a, b)
 
-let explain a b =
+let explain ?(names = ("kernel", "sweep")) a b =
+  let na, nb = names in
   let outcome = function
     | Kernel.Completed -> "completed"
     | Kernel.Stalled r -> Printf.sprintf "stalled@%d" r
@@ -92,13 +95,15 @@ let explain a b =
   in
   let diff what pp xs ys =
     Option.map
-      (fun (i, x, y) -> Printf.sprintf "%s #%d: kernel %s, sweep %s" what i x y)
+      (fun (i, x, y) -> Printf.sprintf "%s #%d: %s %s, %s %s" what i na x nb y)
       (first_diff pp xs ys)
   in
   List.find_map Fun.id
     [
       (if a.outcome <> b.outcome then
-         Some (Printf.sprintf "outcome: kernel %s, sweep %s" (outcome a.outcome) (outcome b.outcome))
+         Some
+           (Printf.sprintf "outcome: %s %s, %s %s" na (outcome a.outcome) nb
+              (outcome b.outcome))
        else None);
       diff "status" status_to_string (Array.to_list a.statuses) (Array.to_list b.statuses);
       diff "metric" (fun (k, v) -> Printf.sprintf "%s=%d" k v) a.readers b.readers;
@@ -112,7 +117,7 @@ let explain a b =
 
 (* ---- the cases ------------------------------------------------------ *)
 
-type variant = A | A_tamper | B | A_rec | A_val | A_val_untampered
+type variant = A | A_tamper | B | A_rec | A_val | A_val_untampered | D | D_coord
 
 let variant_name = function
   | A -> "A"
@@ -121,8 +126,10 @@ let variant_name = function
   | A_rec -> "A+rec"
   | A_val -> "A+val"
   | A_val_untampered -> "A+val/no-tamper"
+  | D -> "D"
+  | D_coord -> "D-coord"
 
-let variants = [| A; A_tamper; B; A_rec; A_val; A_val_untampered |]
+let variants = [| A; A_tamper; B; A_rec; A_val; A_val_untampered; D; D_coord |]
 
 type plan =
   | Sched of C.Schedule.t
@@ -161,8 +168,14 @@ let run_case k c =
   let max_rounds = Doall.Fuzz.byz_max_rounds spec ~window:(4 * n) in
   let fresh () = Metrics.create ~n_processes:t ~n_units:n in
   match c.variant with
-  | A | B ->
-      let p = if c.variant = A then Doall.Protocol_a.protocol else Doall.Protocol_b.protocol in
+  | A | B | D | D_coord ->
+      let p =
+        match c.variant with
+        | A -> Doall.Protocol_a.protocol
+        | B -> Doall.Protocol_b.protocol
+        | D -> Doall.Protocol_d.protocol
+        | _ -> Doall.Protocol_d_coord.protocol
+      in
       let (Doall.Protocol.Packed { proc; show }) = p.make spec in
       observe k ~n ~t ~fault ~show ~metrics:(fresh ()) ~max_rounds proc
   | A_tamper ->
@@ -266,9 +279,54 @@ let test_early_rejoin_wakeup () =
     "rejoiner steps in its restart round" true
     (List.mem (Trace.Stepped { pid = 1; round = 5 }) a.events)
 
+(* Pid 2 sends two messages to pid 0 in a round while pid 1 sends one: the
+   inbox is not strictly decreasing by sender, so the kernel cannot just
+   reverse it and must stable-sort it as the sweep does — pid 1's message
+   first, then pid 2's two. Both kernels collect an inbox by consing, so a
+   stable sort leaves one sender's messages in the reverse of their send
+   order. *)
+let test_double_send_inbox () =
+  let go k =
+    let inboxes = ref [] in
+    let proc =
+      {
+        init = (fun _ -> (0, Some 0));
+        step =
+          (fun pid r k inbox ->
+            if pid = 0 && inbox <> [] then
+              inboxes := List.map (fun e -> (e.src, e.payload)) inbox :: !inboxes;
+            let sends =
+              match pid with
+              | 1 -> [ { dst = 0; payload = (10 * r) + 1 } ]
+              | 2 ->
+                  [ { dst = 0; payload = (10 * r) + 2 }; { dst = 0; payload = (10 * r) + 3 } ]
+              | _ -> []
+            in
+            if r >= 2 then
+              { state = k; sends = []; work = [ pid ]; terminate = true; wakeup = None }
+            else { state = k + 1; sends; work = []; terminate = false; wakeup = Some (r + 1) });
+      }
+    in
+    let seen =
+      observe k ~n:3 ~t:3 ~fault:Fault.none ~show:string_of_int
+        ~metrics:(Metrics.create ~n_processes:3 ~n_units:3)
+        ~max_rounds:100 proc
+    in
+    (seen, List.rev !inboxes)
+  in
+  let a, inbox_a = go real and b, inbox_b = go reference in
+  (match explain a b with None -> () | Some why -> Alcotest.fail why);
+  let pairs = Alcotest.(list (list (pair int int))) in
+  Alcotest.check pairs "both kernels deliver the same inboxes" inbox_b inbox_a;
+  Alcotest.check pairs "sender order, one sender's messages reversed"
+    [ [ (1, 1); (2, 3); (2, 2) ]; [ (1, 11); (2, 13); (2, 12) ] ]
+    inbox_a
+
 let suite =
   [
     Alcotest.test_case "early rejoin wakeup steps at restart" `Quick
       test_early_rejoin_wakeup;
+    Alcotest.test_case "double send to one inbox stays sender-sorted" `Quick
+      test_double_send_inbox;
     law;
   ]

@@ -13,6 +13,7 @@ let () =
       ("protocol-C", Test_protocol_c.suite);
       ("c-views", Test_views.suite);
       ("protocol-D", Test_protocol_d.suite);
+      ("D-diff", Test_protocol_d_diff.suite);
       ("baselines", Test_baselines.suite);
       ("async", Test_asim.suite);
       ("agreement", Test_agreement.suite);
