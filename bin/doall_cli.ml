@@ -10,21 +10,44 @@ open Cmdliner
 module D = Doall
 module J = Dhw_util.Jsonw
 
+(* Exit code 2 is a usage error, like cmdliner's own argument errors. *)
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
+(* Doall.Spec.make raises on n < 1 or t < 1; on the command line that is a
+   usage error. *)
+let make_spec ~n ~t =
+  if n < 1 || t < 1 then
+    usage_error (Printf.sprintf "n and t must be >= 1 (got n = %d, t = %d)" n t);
+  D.Spec.make ~n ~t
+
+let read_file path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
 let protocol_of_name name =
   match String.lowercase_ascii name with
-  | "a" -> Ok D.Protocol_a.protocol
-  | "b" -> Ok D.Protocol_b.protocol
-  | "c" -> Ok D.Protocol_c.protocol
-  | "c-chunked" | "cchunked" -> Ok D.Protocol_c.protocol_chunked
-  | "c-naive" | "cnaive" -> Ok D.Protocol_c_naive.protocol
-  | "d" -> Ok D.Protocol_d.protocol
-  | "d-coord" | "dcoord" -> Ok D.Protocol_d_coord.protocol
-  | "trivial" -> Ok D.Baseline_trivial.protocol
+  | "a" -> D.Protocol_a.protocol
+  | "b" -> D.Protocol_b.protocol
+  | "c" -> D.Protocol_c.protocol
+  | "c-chunked" | "cchunked" -> D.Protocol_c.protocol_chunked
+  | "c-naive" | "cnaive" -> D.Protocol_c_naive.protocol
+  | "d" -> D.Protocol_d.protocol
+  | "d-coord" | "dcoord" -> D.Protocol_d_coord.protocol
+  | "trivial" -> D.Baseline_trivial.protocol
   | s when String.length s > 11 && String.sub s 0 11 = "checkpoint:" ->
-      (try Ok (D.Baseline_checkpoint.protocol ~period:(int_of_string (String.sub s 11 (String.length s - 11))))
-       with _ -> Error (`Msg "checkpoint:<period> needs an integer period"))
-  | "checkpoint" -> Ok (D.Baseline_checkpoint.protocol ~period:1)
-  | _ -> Error (`Msg ("unknown protocol: " ^ name ^ " (A, B, C, C-chunked, C-naive, D, D-coord, D-online, trivial, checkpoint[:k])"))
+      (try D.Baseline_checkpoint.protocol ~period:(int_of_string (String.sub s 11 (String.length s - 11)))
+       with _ -> usage_error "checkpoint:<period> needs an integer period")
+  | "checkpoint" -> D.Baseline_checkpoint.protocol ~period:1
+  | _ -> usage_error ("unknown protocol: " ^ name ^ " (A, B, C, C-chunked, C-naive, D, D-coord, D-online, trivial, checkpoint[:k])")
 
 let crash_conv =
   let parse s =
@@ -81,7 +104,7 @@ let build_fault ~t ~crashes ~random ~window ~seed ~adversary =
       ( Simkit.Fault.crash_active_after_work ~units_between_crashes:k
           ~max_crashes:(t - 1),
         Printf.sprintf "kill-active-every %d units" k )
-  | _ -> failwith "combine at most one of --crash/--random/--kill-active-every"
+  | _ -> usage_error "combine at most one of --crash/--random/--kill-active-every"
 
 let report_arg =
   Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
@@ -150,7 +173,7 @@ let run_cmd =
   in
   let run proto n t crashes restarts random window seed adversary trace_n
       report_fmt events trace_out horizon idle_block =
-    let spec = D.Spec.make ~n ~t in
+    let spec = make_spec ~n ~t in
     let trace = Option.map (fun _ -> Simkit.Trace.create ()) trace_n in
     (* Wall-clock span collection is a separate sink from --events so the
        deterministic event stream stays byte-stable across machines. *)
@@ -195,17 +218,14 @@ let run_cmd =
     if restarts <> [] then begin
       match D.Fuzz.recovery_which_of_name proto with
       | None ->
-          prerr_endline
+          usage_error
             ("--restarts needs a protocol with a recovery hook (A or B), got "
-            ^ proto);
-          exit 2
+            ^ proto)
       | Some which ->
-          if random <> None || adversary <> None then begin
-            prerr_endline
+          if random <> None || adversary <> None then
+            usage_error
               "--restarts combines only with --crash, not \
                --random/--kill-active-every";
-            exit 2
-          end;
           let entry mode (victim, at) =
             { Simkit.Campaign.Schedule.victim; at; mode }
           in
@@ -253,15 +273,13 @@ let run_cmd =
       finish ~latency:(D.Latency.to_json lat) fault_desc report
     end
     else
-      match protocol_of_name proto with
-      | Error (`Msg m) -> prerr_endline m; exit 2
-      | Ok p ->
-          let fault, fault_desc =
-            build_fault ~t ~crashes ~random ~window ~seed ~adversary
-          in
-          finish fault_desc
-            (with_events events (fun obs ->
-                 D.Runner.run ~fault ?trace ?obs ?spans spec p))
+      let p = protocol_of_name proto in
+      let fault, fault_desc =
+        build_fault ~t ~crashes ~random ~window ~seed ~adversary
+      in
+      finish fault_desc
+        (with_events events (fun obs ->
+             D.Runner.run ~fault ?trace ?obs ?spans spec p))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a Do-All protocol under a fault schedule")
@@ -284,25 +302,22 @@ let timeline_cmd =
          ~doc:"Maximum sparkline width; longer runs are bucketed down to it.")
   in
   let run proto n t crashes random window seed adversary json width =
-    match protocol_of_name proto with
-    | Error (`Msg m) -> prerr_endline m; exit 2
-    | Ok p ->
-        let spec = D.Spec.make ~n ~t in
-        let fault, fault_desc =
-          build_fault ~t ~crashes ~random ~window ~seed ~adversary
-        in
-        let tl = Simkit.Obs.Timeline.create ~n_processes:t ~n_units:n in
-        let report =
-          D.Runner.run ~fault ~obs:(Simkit.Obs.Timeline.sink tl) spec p
-        in
-        if json then
-          print_endline (J.pretty (Simkit.Obs.Timeline.to_json tl))
-        else begin
-          Format.printf "%s on %a  fault: %s@." report.D.Runner.protocol
-            D.Spec.pp spec fault_desc;
-          Simkit.Obs.Timeline.pp ~width Format.std_formatter tl
-        end;
-        if not (D.Runner.correct report) then exit 1
+    let p = protocol_of_name proto in
+    let spec = make_spec ~n ~t in
+    let fault, fault_desc =
+      build_fault ~t ~crashes ~random ~window ~seed ~adversary
+    in
+    let tl = Simkit.Obs.Timeline.create ~n_processes:t ~n_units:n in
+    let report =
+      D.Runner.run ~fault ~obs:(Simkit.Obs.Timeline.sink tl) spec p
+    in
+    if json then print_endline (J.pretty (Simkit.Obs.Timeline.to_json tl))
+    else begin
+      Format.printf "%s on %a  fault: %s@." report.D.Runner.protocol D.Spec.pp
+        spec fault_desc;
+      Simkit.Obs.Timeline.pp ~width Format.std_formatter tl
+    end;
+    if not (D.Runner.correct report) then exit 1
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -328,8 +343,12 @@ let ba_cmd =
       | "b" -> Agreement.Crash_ba.B
       | "c" -> Agreement.Crash_ba.C
       | "c-chunked" | "cchunked" -> Agreement.Crash_ba.C_chunked
-      | other -> prerr_endline ("unknown sender protocol: " ^ other); exit 2
+      | other -> usage_error ("unknown sender protocol: " ^ other)
     in
+    (* -t is the failure bound here: t + 1 senders among n processes. *)
+    if t_bound < 0 || t_bound >= n then
+      usage_error
+        (Printf.sprintf "ba needs 0 <= t < n (got n = %d, t = %d)" n t_bound);
     let o = Agreement.Crash_ba.run ~n ~t_bound ~value ~crash_at:crashes ?general_cut:cut wp in
     Format.printf
       "agreement=%b validity=%b messages=%d (work-protocol %d) rounds=%d sender-work=%d@."
@@ -365,7 +384,7 @@ let async_cmd =
   in
   let run n t crashes seed max_delay max_lag drop dup slow slow_factor hardened
       report_fmt events =
-    let spec = D.Spec.make ~n ~t in
+    let spec = make_spec ~n ~t in
     let link =
       { Asim.Event_sim.drop_bp = drop; dup_bp = dup; corrupt_bp = 0;
         slow_set = slow; slow_factor; severs = [] }
@@ -469,7 +488,7 @@ let shmem_cmd =
           ("checkpointed", Shmem.Writeall.checkpointed ~crash_at:crashes)
       | "parallel-scan" | "scan" ->
           ("parallel-scan", Shmem.Writeall.parallel_scan ~crash_at:crashes)
-      | other -> prerr_endline ("unknown algorithm: " ^ other); exit 2
+      | other -> usage_error ("unknown algorithm: " ^ other)
     in
     let o = go ~n ~t () in
     let ok =
@@ -494,7 +513,7 @@ let shmem_cmd =
                 ] ) ]
         in
         let rep =
-          D.Report.make ~kind:"shmem" ~protocol:name ~spec:(D.Spec.make ~n ~t)
+          D.Report.make ~kind:"shmem" ~protocol:name ~spec:(make_spec ~n ~t)
             ~fault:(crash_desc crashes) ~metrics:o.result.metrics ~outcome
             ~correct:ok ~survivors:(status_survivors o.result.statuses)
             ~crashed:(status_crashed o.result.statuses) ~extra ()
@@ -533,8 +552,10 @@ let bootstrap_cmd =
       | "b" -> Agreement.Crash_ba.B
       | "c" -> Agreement.Crash_ba.C
       | "c-chunked" | "cchunked" -> Agreement.Crash_ba.C_chunked
-      | other -> prerr_endline ("unknown protocol: " ^ other); exit 2
+      | other -> usage_error ("unknown protocol: " ^ other)
     in
+    (* Bootstrap.run has Spec.make's preconditions on n and t. *)
+    ignore (make_spec ~n ~t : D.Spec.t);
     let o = Agreement.Bootstrap.run ~n ~t ~crash_at:crashes wp in
     Format.printf
       "ok=%b  stage1: msgs=%d rounds=%d  stage2: %a  totals: msgs=%d work=%d rounds=%d@."
@@ -548,58 +569,110 @@ let bootstrap_cmd =
     Term.(const run $ n_arg $ t_arg $ proto_arg $ crashes_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Adversary campaigns: fuzz + replay *)
+(* Adversary campaigns: one fuzz and one replay subcommand per fault model
+   (crash, crash–recovery, corruption/Byzantine, lossy async). The name of
+   the subcommand selects the model: its campaign driver, its oracle stack
+   and its own flags. Reporting, corpus files, schedule reading and replay
+   verdicts are shared. *)
 
 module Campaign = Simkit.Campaign
+module AF = Asim.Async_fuzz
 
-(* Campaigns always run through the parallel engine here, so --jobs 1 and
+(* A serialized schedule format: [schedule v1] or [async-schedule v1].
+   [cost] is set for the byz models, whose shrinker minimizes adversary
+   power and whose reports print it. *)
+type 's format = {
+  print : 's -> string;
+  parse : string -> ('s, string) result;
+  meta : 's -> string -> string option;
+  pp : Format.formatter -> 's -> unit;
+  cost : ('s -> int) option;
+}
+
+let sync_format =
+  { print = Campaign.Schedule.print; parse = Campaign.Schedule.parse;
+    meta = Campaign.Schedule.meta; pp = Campaign.Schedule.pp; cost = None }
+
+let async_format =
+  { print = Campaign.Async.print; parse = Campaign.Async.parse;
+    meta = Campaign.Async.meta; pp = Campaign.Async.pp; cost = None }
+
+let byz_format = { sync_format with cost = Some Campaign.Schedule.cost }
+let async_byz_format = { async_format with cost = Some Campaign.Async.cost }
+
+(* One-line summaries of a run, printed after each fuzz failure and by a
+   replay, so the two can be compared verbatim. *)
+let pp_sync_run ppf (s : D.Fuzz.subject) = D.Runner.pp ppf s.D.Fuzz.report
+
+let pp_async_run ppf (s : AF.subject) =
+  let r = s.AF.result in
+  Format.fprintf ppf "%a outcome=%a" Simkit.Metrics.pp_summary
+    r.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome r.Asim.Event_sim.outcome
+
+(* A schedule's latest entry round: the horizon the recovery and byz
+   oracles judge it against. *)
+let sched_horizon (sched : Campaign.Schedule.t) =
+  List.fold_left
+    (fun acc (e : Campaign.Schedule.entry) -> max acc e.at)
+    0 sched.Campaign.Schedule.entries
+
+(* A byz schedule run outside its campaign takes its round cap from its own
+   horizon, not from the campaign's window. *)
+let run_byz_schedule spec hardening sched =
+  let max_rounds = D.Fuzz.byz_max_rounds spec ~window:(sched_horizon sched) in
+  D.Fuzz.run_byz_schedule ~max_rounds spec hardening sched
+
+(* Campaign results do not depend on the worker count: --jobs 1 and
    --jobs 8 print byte-identical stats and write byte-identical corpora;
    0 means one worker domain per core. *)
 let jobs_arg =
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
        ~doc:"Worker domains executing campaign schedules (default 0 = one per core). Campaign results are byte-identical for every value; only wall-clock time changes.")
 
+let executions_arg default =
+  Arg.(value & opt int default & info [ "executions" ]
+       ~doc:"Random schedules to run (fuzz ignores it with $(b,--exhaustive)).")
+
+let campaign_window_arg =
+  Arg.(value & opt (some int) None & info [ "window" ] ~docv:"WINDOW"
+       ~doc:"Fault window in rounds, or in ticks on the asynchronous substrate (default: twice the failure-free running time).")
+
+let corpus_arg =
+  Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
+       ~doc:"Directory where shrunk failing schedules are written.")
+
+let work_cap_arg =
+  Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
+       ~doc:"Extra oracle asserting total work <= $(i,UNITS). A cap below the theorem bound deliberately fails a campaign - the hook for demonstrating shrinking and replay; replay a counterexample with the cap that found it.")
+
+let max_failures_arg =
+  Arg.(value & opt int 3 & info [ "max-failures" ]
+       ~doc:"Stop after this many (shrunk) violations; must be at least 1.")
+
+let schedule_file_arg doc =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
 let resolve_jobs jobs =
-  if jobs < 0 then begin
-    prerr_endline "--jobs must be >= 0 (0 = one worker per core)";
-    exit 2
-  end
+  if jobs < 0 then usage_error "--jobs must be >= 0 (0 = one worker per core)"
   else if jobs = 0 then Simkit.Pool.default_jobs ()
   else jobs
 
 (* Campaign misconfiguration is exit code 2 (like cmdliner usage errors and
-   unknown protocols), distinct from exit 1 = counterexample found. *)
-let check_campaign_config ~executions ~window =
-  if executions < 0 then begin
-    prerr_endline "--executions must be >= 0";
-    exit 2
-  end;
-  match window with
-  | Some w when w < 0 ->
-      prerr_endline "--window must be >= 0";
-      exit 2
-  | _ -> ()
-
-let pp_failure ppf (i, (f : Campaign.Schedule.t Campaign.failure)) =
-  Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
-    f.Campaign.detail;
-  Format.fprintf ppf "  schedule: %a@." Campaign.Schedule.pp f.Campaign.schedule;
-  Format.fprintf ppf "  shrunk (%d executions): %a (%s)@."
-    f.Campaign.shrink_executions Campaign.Schedule.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
-
-let report_subject spec proto sched =
-  (* one more run of the schedule, printed in the replay format so fuzz
-     failures and their replays can be compared verbatim *)
-  let subject = D.Fuzz.run_schedule spec proto sched in
-  Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report
+   unknown protocols), distinct from exit 1 = counterexample found. With
+   --max-failures 0 a failing campaign would keep no counterexample and
+   pass. *)
+let check_campaign_config ~executions ~window ~max_failures =
+  if executions < 0 then usage_error "--executions must be >= 0";
+  (match window with
+  | Some w when w < 0 -> usage_error "--window must be >= 0"
+  | _ -> ());
+  if max_failures < 1 then usage_error "--max-failures must be >= 1"
 
 (* Per-failure machine-readable companion to the .sched corpus entry: the
    oracle verdict plus both the original and the shrunk schedule texts. *)
 let write_failure_report ~path ~protocol ~seed ~index ~print
     (f : _ Campaign.failure) =
-  let oc = open_out path in
-  output_string oc
+  write_file path
     (J.pretty
        (J.Obj
           [
@@ -613,645 +686,381 @@ let write_failure_report ~path ~protocol ~seed ~index ~print
             ("shrunk", J.Str (print f.Campaign.shrunk));
             ("shrunk_detail", J.Str f.Campaign.shrunk_detail);
             ("shrink_executions", J.Int f.Campaign.shrink_executions);
-          ]));
-  output_char oc '\n';
-  close_out oc;
+          ])
+    ^ "\n");
   Format.printf "  written: %s@." path
 
-let write_corpus ~corpus ~protocol ~seed failures =
+(* Print a finished campaign: [header], the stats, and each failure followed
+   by one more run of its shrunk schedule (in the replay format, so the two
+   can be compared verbatim). Then write each failure's shrunk schedule and
+   report to [corpus], and exit 1 if there were any. *)
+let report_campaign fmt ~header ~rerun ~pp_run ~corpus ~protocol ~seed
+    (stats : _ Campaign.stats) =
+  Format.printf "%s@.%a@." header Campaign.pp_stats stats;
+  let failures = stats.Campaign.failures in
+  List.iteri
+    (fun i
+         { Campaign.schedule; oracle; detail; shrunk; shrunk_detail;
+           shrink_executions } ->
+      Format.printf "violation #%d: oracle=%s (%s)@." i oracle detail;
+      (match fmt.cost with
+      | None ->
+          Format.printf "  schedule: %a@.  shrunk (%d executions): %a (%s)@."
+            fmt.pp schedule shrink_executions fmt.pp shrunk shrunk_detail
+      | Some cost ->
+          Format.printf
+            "  schedule (cost %d): %a@.  cheapest break (cost %d, %d \
+             executions): %a (%s)@."
+            (cost schedule) fmt.pp schedule (cost shrunk) shrink_executions
+            fmt.pp shrunk shrunk_detail);
+      Format.printf "  %a@." pp_run (rerun shrunk))
+    failures;
   if failures <> [] then begin
     if not (Sys.file_exists corpus) then Sys.mkdir corpus 0o755;
     List.iteri
-      (fun i (f : Campaign.Schedule.t Campaign.failure) ->
+      (fun index (f : _ Campaign.failure) ->
         let base =
           Filename.concat corpus
-            (Printf.sprintf "%s-seed%d-%d" protocol seed i)
+            (Printf.sprintf "%s-seed%d-%d" protocol seed index)
         in
-        let path = base ^ ".sched" in
-        let oc = open_out path in
-        output_string oc (Campaign.Schedule.print f.Campaign.shrunk);
-        close_out oc;
-        Format.printf "  written: %s@." path;
+        write_file (base ^ ".sched") (fmt.print f.Campaign.shrunk);
+        Format.printf "  written: %s.sched@." base;
         write_failure_report ~path:(base ^ ".report.json") ~protocol ~seed
-          ~index:i ~print:Campaign.Schedule.print f)
-      failures
+          ~index ~print:fmt.print f)
+      failures;
+    exit 1
   end
+
+(* Reading a schedule file: a parse error, a missing meta key or a
+   malformed meta n / meta t is a usage error. *)
+let parse_schedule fmt text =
+  match fmt.parse text with
+  | Ok sched -> sched
+  | Error msg -> usage_error ("parse error: " ^ msg)
+
+let read_schedule fmt file = parse_schedule fmt (read_file file)
+
+let meta fmt sched key =
+  match fmt.meta sched key with
+  | Some v -> v
+  | None -> usage_error ("schedule file lacks meta " ^ key)
+
+let meta_spec fmt sched =
+  let int_meta key =
+    let v = meta fmt sched key in
+    match int_of_string_opt v with
+    | Some i -> i
+    | None ->
+        usage_error
+          (Printf.sprintf "schedule file has a non-integer meta %s: %s" key v)
+  in
+  let n = int_meta "n" in
+  make_spec ~n ~t:(int_meta "t")
+
+(* Print a replayed schedule, the summary of its run [subject] and the
+   verdict of [oracles]; exit 1 if one fails. *)
+let replay fmt ~title ?protocol spec ~pp_run ~oracles sched subject =
+  Format.printf "%s: %sn=%d t=%d%s schedule: %a@." title
+    (match protocol with Some p -> "protocol=" ^ p ^ " " | None -> "")
+    (D.Spec.n spec) (D.Spec.processes spec)
+    (match fmt.cost with
+    | Some cost -> Printf.sprintf " cost=%d" (cost sched)
+    | None -> "")
+    fmt.pp sched;
+  Format.printf "  %a@." pp_run subject;
+  match Campaign.first_failure oracles subject with
+  | None -> Format.printf "verdict: all oracles pass@."
+  | Some (oracle, detail) ->
+      Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
+      exit 1
+
+(* Crash campaigns: fuzz + replay *)
 
 let fuzz_cmd =
   let proto_arg =
     Arg.(value & opt string "A" & info [ "p"; "protocol" ]
          ~doc:"Protocol (A, B, C, C-chunked, C-naive, D, D-coord, trivial, checkpoint[:k]).")
   in
-  let executions_arg =
-    Arg.(value & opt int 200 & info [ "executions" ]
-         ~doc:"Random schedules to run (ignored with --exhaustive).")
-  in
   let exhaustive_arg =
     Arg.(value & flag & info [ "exhaustive" ]
          ~doc:"Enumerate every (victim set x crash round grid x mode) schedule instead of sampling; keep -t tiny.")
   in
-  let window_opt_arg =
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"ROUNDS"
-         ~doc:"Crash-round window (default: twice the failure-free running time).")
-  in
-  let corpus_arg =
-    Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
-         ~doc:"Directory where shrunk failing schedules are written.")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS). Setting it below the theorem bound deliberately fails the campaign - the hook for demonstrating shrinking and replay.")
-  in
-  let max_failures_arg =
-    Arg.(value & opt int 3 & info [ "max-failures" ]
-         ~doc:"Stop after this many (shrunk) violations.")
-  in
   let run proto n t seed executions exhaustive window corpus work_cap
       max_failures jobs =
-    match protocol_of_name proto with
-    | Error (`Msg m) -> prerr_endline m; exit 2
-    | Ok p ->
-        check_campaign_config ~executions ~window;
-        let spec = D.Spec.make ~n ~t in
-        let name = String.lowercase_ascii proto in
-        let jobs = resolve_jobs jobs in
-        let extra =
-          match work_cap with
-          | None -> []
-          | Some cap -> [ D.Fuzz.work_cap cap ]
-        in
-        let stats =
-          if exhaustive then
-            D.Fuzz.exhaustive_campaign ~jobs ?window ~extra ~max_failures spec p
-          else
-            D.Fuzz.campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?window
-              ~extra ~max_failures spec p
-        in
-        Format.printf "campaign: protocol=%s n=%d t=%d seed=%d %s@." name n t
-          seed (if exhaustive then "exhaustive" else "sampled");
-        Format.printf "%a@." Campaign.pp_stats stats;
-        List.iteri
-          (fun i f ->
-            Format.printf "%a" pp_failure (i, f);
-            report_subject spec p f.Campaign.shrunk)
-          stats.Campaign.failures;
-        write_corpus ~corpus ~protocol:name ~seed stats.Campaign.failures;
-        if stats.Campaign.failures <> [] then exit 1
+    let p = protocol_of_name proto in
+    check_campaign_config ~executions ~window ~max_failures;
+    let spec = make_spec ~n ~t in
+    let jobs = resolve_jobs jobs in
+    let extra = Option.to_list (Option.map D.Fuzz.work_cap work_cap) in
+    let stats =
+      if exhaustive then
+        D.Fuzz.exhaustive_campaign ~jobs ?window ~extra ~max_failures spec p
+      else
+        D.Fuzz.campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?window
+          ~extra ~max_failures spec p
+    in
+    let name = String.lowercase_ascii proto in
+    report_campaign sync_format
+      ~header:
+        (Printf.sprintf "campaign: protocol=%s n=%d t=%d seed=%d %s" name n t
+           seed (if exhaustive then "exhaustive" else "sampled"))
+      ~rerun:(D.Fuzz.run_schedule spec p) ~pp_run:pp_sync_run ~corpus
+      ~protocol:name ~seed stats
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Adversary campaign: fuzz a protocol with partial-delivery crash schedules, shrinking any violation")
     Term.(
-      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg
-      $ exhaustive_arg $ window_opt_arg $ corpus_arg $ work_cap_arg
+      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg 200
+      $ exhaustive_arg $ campaign_window_arg $ corpus_arg $ work_cap_arg
       $ max_failures_arg $ jobs_arg)
 
 let replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file produced by fuzz (or hand-written).")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Re-add the extra work <= $(i,UNITS) oracle used when the schedule was found.")
-  in
   let run file work_cap =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let name = meta "protocol" in
-        (match protocol_of_name name with
-        | Error (`Msg m) -> prerr_endline m; exit 2
-        | Ok p ->
-            let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-            let spec = D.Spec.make ~n ~t in
-            let subject = D.Fuzz.run_schedule spec p sched in
-            let extra =
-              match work_cap with
-              | None -> []
-              | Some cap -> [ D.Fuzz.work_cap cap ]
-            in
-            let oracles = D.Fuzz.oracles spec ~protocol:name @ extra in
-            Format.printf "replay: protocol=%s n=%d t=%d schedule: %a@." name n
-              t Campaign.Schedule.pp sched;
-            Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report;
-            (match Campaign.first_failure oracles subject with
-            | None -> Format.printf "verdict: all oracles pass@."
-            | Some (oracle, detail) ->
-                Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-                exit 1))
+    let sched = read_schedule sync_format file in
+    let name = meta sync_format sched "protocol" in
+    let p = protocol_of_name name in
+    let spec = meta_spec sync_format sched in
+    replay sync_format ~title:"replay" ~protocol:name spec ~pp_run:pp_sync_run
+      ~oracles:
+        (D.Fuzz.oracles spec ~protocol:name
+        @ Option.to_list (Option.map D.Fuzz.work_cap work_cap))
+      sched
+      (D.Fuzz.run_schedule spec p sched)
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Re-run a serialized campaign schedule and re-judge it with the same oracle stack")
-    Term.(const run $ file_arg $ work_cap_arg)
+    Term.(
+      const run
+      $ schedule_file_arg "Schedule file produced by fuzz (or hand-written)."
+      $ work_cap_arg)
 
-(* ------------------------------------------------------------------ *)
 (* Crash–recovery campaigns: recovery-fuzz + recovery-replay *)
-
-let report_recovery_subject spec which sched =
-  let subject = D.Fuzz.run_recovery_schedule spec which sched in
-  Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report
 
 let recovery_fuzz_cmd =
   let proto_arg =
     Arg.(value & opt string "A" & info [ "p"; "protocol" ]
          ~doc:"Protocol to harden and fuzz (A or B; a+rec/b+rec accepted).")
   in
-  let executions_arg =
-    Arg.(value & opt int 200 & info [ "executions" ]
-         ~doc:"Random crash+restart schedules to run.")
-  in
-  let window_opt_arg =
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"ROUNDS"
-         ~doc:"Crash-round window (default: twice the failure-free recovery running time).")
-  in
   let restart_gap_arg =
     Arg.(value & opt int 6 & info [ "restart-gap" ] ~docv:"ROUNDS"
          ~doc:"Maximum downtime before a sampled restart.")
   in
-  let corpus_arg =
-    Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
-         ~doc:"Directory where shrunk failing schedules are written.")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS). Setting it below the theorem bound deliberately fails the campaign - the hook for demonstrating shrinking and replay.")
-  in
-  let max_failures_arg =
-    Arg.(value & opt int 3 & info [ "max-failures" ]
-         ~doc:"Stop after this many (shrunk) violations.")
-  in
   let run proto n t seed executions window restart_gap corpus work_cap
       max_failures jobs =
-    match D.Fuzz.recovery_which_of_name proto with
-    | None ->
-        prerr_endline
-          ("unknown recovery protocol: " ^ proto ^ " (A, B, a+rec, b+rec)");
-        exit 2
-    | Some which ->
-        check_campaign_config ~executions ~window;
-        let spec = D.Spec.make ~n ~t in
-        let name = D.Fuzz.recovery_protocol_name which in
-        let jobs = resolve_jobs jobs in
-        let extra =
-          match work_cap with
-          | None -> []
-          | Some cap -> [ D.Fuzz.work_cap cap ]
-        in
-        let stats =
-          D.Fuzz.recovery_campaign ~jobs ~seed:(Int64.of_int seed) ~executions
-            ?window ~restart_gap ~extra ~max_failures spec which
-        in
-        Format.printf
-          "recovery campaign: protocol=%s n=%d t=%d seed=%d restart-gap=%d@."
-          name n t seed restart_gap;
-        Format.printf "%a@." Campaign.pp_stats stats;
-        List.iteri
-          (fun i f ->
-            Format.printf "%a" pp_failure (i, f);
-            report_recovery_subject spec which f.Campaign.shrunk)
-          stats.Campaign.failures;
-        write_corpus ~corpus ~protocol:name ~seed stats.Campaign.failures;
-        if stats.Campaign.failures <> [] then exit 1
+    let which =
+      match D.Fuzz.recovery_which_of_name proto with
+      | Some which -> which
+      | None ->
+          usage_error
+            ("unknown recovery protocol: " ^ proto ^ " (A, B, a+rec, b+rec)")
+    in
+    check_campaign_config ~executions ~window ~max_failures;
+    let spec = make_spec ~n ~t in
+    let jobs = resolve_jobs jobs in
+    let name = D.Fuzz.recovery_protocol_name which in
+    report_campaign sync_format
+      ~header:
+        (Printf.sprintf
+           "recovery campaign: protocol=%s n=%d t=%d seed=%d restart-gap=%d"
+           name n t seed restart_gap)
+      ~rerun:(D.Fuzz.run_recovery_schedule spec which) ~pp_run:pp_sync_run
+      ~corpus ~protocol:name ~seed
+      (D.Fuzz.recovery_campaign ~jobs ~seed:(Int64.of_int seed) ~executions
+         ?window ~restart_gap
+         ~extra:(Option.to_list (Option.map D.Fuzz.work_cap work_cap))
+         ~max_failures spec which)
   in
   Cmd.v
     (Cmd.info "recovery-fuzz"
        ~doc:"Crash+restart storm campaign against a recovery-hardened protocol, shrinking any violation")
     Term.(
-      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg
-      $ window_opt_arg $ restart_gap_arg $ corpus_arg $ work_cap_arg
+      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg 200
+      $ campaign_window_arg $ restart_gap_arg $ corpus_arg $ work_cap_arg
       $ max_failures_arg $ jobs_arg)
 
 let recovery_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file produced by recovery-fuzz (or hand-written; may contain restart entries).")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS); pass the same cap that produced the counterexample.")
-  in
   let run file work_cap =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let name = meta "protocol" in
-        (match D.Fuzz.recovery_which_of_name name with
-        | None ->
-            prerr_endline ("not a recovery protocol: " ^ name);
-            exit 2
-        | Some which ->
-            let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-            let spec = D.Spec.make ~n ~t in
-            let subject = D.Fuzz.run_recovery_schedule spec which sched in
-            (* judged with the schedule's own horizon: its latest entry round *)
-            let horizon =
-              List.fold_left
-                (fun acc (e : Campaign.Schedule.entry) -> max acc e.at)
-                0 sched.Campaign.Schedule.entries
-            in
-            let oracles =
-              D.Fuzz.recovery_oracles spec which ~horizon
-              @
-              match work_cap with
-              | None -> []
-              | Some cap -> [ D.Fuzz.work_cap cap ]
-            in
-            Format.printf "recovery replay: protocol=%s n=%d t=%d schedule: %a@."
-              (D.Fuzz.recovery_protocol_name which)
-              n t Campaign.Schedule.pp sched;
-            Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report;
-            (match Campaign.first_failure oracles subject with
-            | None -> Format.printf "verdict: all oracles pass@."
-            | Some (oracle, detail) ->
-                Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-                exit 1))
+    let sched = read_schedule sync_format file in
+    let name = meta sync_format sched "protocol" in
+    let which =
+      match D.Fuzz.recovery_which_of_name name with
+      | Some which -> which
+      | None -> usage_error ("not a recovery protocol: " ^ name)
+    in
+    let spec = meta_spec sync_format sched in
+    replay sync_format ~title:"recovery replay"
+      ~protocol:(D.Fuzz.recovery_protocol_name which) spec ~pp_run:pp_sync_run
+      ~oracles:
+        (D.Fuzz.recovery_oracles spec which ~horizon:(sched_horizon sched)
+        @ Option.to_list (Option.map D.Fuzz.work_cap work_cap))
+      sched
+      (D.Fuzz.run_recovery_schedule spec which sched)
   in
   Cmd.v
     (Cmd.info "recovery-replay"
        ~doc:"Re-run a serialized crash+restart schedule and re-judge it with the recovery oracle stack")
-    Term.(const run $ file_arg $ work_cap_arg)
+    Term.(
+      const run
+      $ schedule_file_arg
+          "Schedule file produced by recovery-fuzz (or hand-written; may contain restart entries)."
+      $ work_cap_arg)
 
-(* ------------------------------------------------------------------ *)
 (* Corruption / Byzantine campaigns: byz-fuzz + byz-replay *)
-
-module AF = Asim.Async_fuzz
-
-let write_async_corpus ~corpus ~protocol ~seed failures =
-  if failures <> [] then begin
-    if not (Sys.file_exists corpus) then Sys.mkdir corpus 0o755;
-    List.iteri
-      (fun i (f : Campaign.Async.t Campaign.failure) ->
-        let base =
-          Filename.concat corpus
-            (Printf.sprintf "%s-seed%d-%d" protocol seed i)
-        in
-        let path = base ^ ".sched" in
-        let oc = open_out path in
-        output_string oc (Campaign.Async.print f.Campaign.shrunk);
-        close_out oc;
-        Format.printf "  written: %s@." path;
-        write_failure_report ~path:(base ^ ".report.json") ~protocol ~seed
-          ~index:i ~print:Campaign.Async.print f)
-      failures
-  end
-
-let pp_byz_failure ppf (i, (f : Campaign.Schedule.t Campaign.failure)) =
-  Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
-    f.Campaign.detail;
-  Format.fprintf ppf "  schedule (cost %d): %a@."
-    (Campaign.Schedule.cost f.Campaign.schedule)
-    Campaign.Schedule.pp f.Campaign.schedule;
-  Format.fprintf ppf "  cheapest break (cost %d, %d executions): %a (%s)@."
-    (Campaign.Schedule.cost f.Campaign.shrunk)
-    f.Campaign.shrink_executions Campaign.Schedule.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
-
-let byz_horizon sched =
-  List.fold_left
-    (fun acc (e : Campaign.Schedule.entry) -> max acc e.at)
-    0 sched.Campaign.Schedule.entries
-
-let report_byz_subject spec hardening sched =
-  let max_rounds = D.Fuzz.byz_max_rounds spec ~window:(byz_horizon sched) in
-  let subject = D.Fuzz.run_byz_schedule ~max_rounds spec hardening sched in
-  Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report
-
-let pp_async_byz_failure ppf (i, (f : Campaign.Async.t Campaign.failure)) =
-  Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
-    f.Campaign.detail;
-  Format.fprintf ppf "  schedule (cost %d): %a@."
-    (Campaign.Async.cost f.Campaign.schedule)
-    Campaign.Async.pp f.Campaign.schedule;
-  Format.fprintf ppf "  cheapest break (cost %d, %d executions): %a (%s)@."
-    (Campaign.Async.cost f.Campaign.shrunk)
-    f.Campaign.shrink_executions Campaign.Async.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
-
-let report_async_byz_subject spec hardening sched =
-  let subject = AF.run_byz_schedule spec hardening sched in
-  Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-    subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-    subject.AF.result.Asim.Event_sim.outcome
 
 let byz_fuzz_cmd =
   let proto_arg =
     Arg.(value & opt string "A" & info [ "p"; "protocol" ]
          ~doc:"Protocol A variant to attack: $(b,a) (unhardened, expect a counterexample) or $(b,a+val) (validated, expect none).")
   in
-  let executions_arg =
-    Arg.(value & opt int 200 & info [ "executions" ]
-         ~doc:"Random corruption/Byzantine schedules to run.")
-  in
   let byz_arg =
     Arg.(value & opt (some int) None & info [ "byz" ] ~docv:"B"
          ~doc:"Byzantine processes per schedule (default t/3 - 1; must satisfy 0 <= B < t).")
-  in
-  let window_opt_arg =
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"ROUNDS"
-         ~doc:"Fault-round window (default: twice the failure-free running time).")
-  in
-  let corpus_arg =
-    Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
-         ~doc:"Directory where cheapest-break schedules are written.")
-  in
-  let max_failures_arg =
-    Arg.(value & opt int 3 & info [ "max-failures" ]
-         ~doc:"Stop after this many (shrunk) violations.")
   in
   let async_arg =
     Arg.(value & flag & info [ "async" ]
          ~doc:"Attack the asynchronous substrate instead: corrupt/byz entries act on the reliable-link wire frames of hardened (or validated) async Protocol A.")
   in
   let run proto n t seed executions byz window corpus max_failures jobs async =
-    match D.Fuzz.byz_hardening_of_name proto with
-    | None ->
-        prerr_endline ("unknown byz-fuzz protocol: " ^ proto ^ " (a, a+val)");
-        exit 2
-    | Some hardening ->
-        check_campaign_config ~executions ~window;
-        (match byz with
-        | Some b when b < 0 || b >= t ->
-            prerr_endline
-              (Printf.sprintf "--byz must satisfy 0 <= B < t (got %d, t = %d)" b t);
-            exit 2
-        | _ -> ());
-        let spec = D.Spec.make ~n ~t in
-        let jobs = resolve_jobs jobs in
-        let byz_count =
-          match byz with Some b -> b | None -> min (max 0 ((t / 3) - 1)) (t - 1)
-        in
-        if async then begin
-          let name = AF.byz_protocol_name hardening in
-          let stats =
-            AF.byz_campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?byz
-              ?window ~max_failures spec hardening
-          in
-          Format.printf "byz campaign: protocol=%s n=%d t=%d seed=%d byz=%d@."
-            name n t seed byz_count;
-          Format.printf "%a@." Campaign.pp_stats stats;
-          List.iteri
-            (fun i f ->
-              Format.printf "%a" pp_async_byz_failure (i, f);
-              report_async_byz_subject spec hardening f.Campaign.shrunk)
-            stats.Campaign.failures;
-          write_async_corpus ~corpus ~protocol:name ~seed
-            stats.Campaign.failures;
-          if stats.Campaign.failures <> [] then exit 1
-        end
-        else begin
-          let name = D.Fuzz.byz_protocol_name hardening in
-          let stats =
-            D.Fuzz.byz_campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?byz
-              ?window ~max_failures spec hardening
-          in
-          Format.printf "byz campaign: protocol=%s n=%d t=%d seed=%d byz=%d@."
-            name n t seed byz_count;
-          Format.printf "%a@." Campaign.pp_stats stats;
-          List.iteri
-            (fun i f ->
-              Format.printf "%a" pp_byz_failure (i, f);
-              report_byz_subject spec hardening f.Campaign.shrunk)
-            stats.Campaign.failures;
-          write_corpus ~corpus ~protocol:name ~seed stats.Campaign.failures;
-          if stats.Campaign.failures <> [] then exit 1
-        end
+    let hardening =
+      match D.Fuzz.byz_hardening_of_name proto with
+      | Some hardening -> hardening
+      | None ->
+          usage_error ("unknown byz-fuzz protocol: " ^ proto ^ " (a, a+val)")
+    in
+    check_campaign_config ~executions ~window ~max_failures;
+    (match byz with
+    | Some b when b < 0 || b >= t ->
+        usage_error
+          (Printf.sprintf "--byz must satisfy 0 <= B < t (got %d, t = %d)" b t)
+    | _ -> ());
+    let spec = make_spec ~n ~t in
+    let jobs = resolve_jobs jobs in
+    let seed64 = Int64.of_int seed in
+    let header name =
+      Printf.sprintf "byz campaign: protocol=%s n=%d t=%d seed=%d byz=%d" name
+        n t seed
+        (match byz with Some b -> b | None -> min (max 0 ((t / 3) - 1)) (t - 1))
+    in
+    if async then
+      let name = AF.byz_protocol_name hardening in
+      report_campaign async_byz_format ~header:(header name)
+        ~rerun:(AF.run_byz_schedule spec hardening) ~pp_run:pp_async_run
+        ~corpus ~protocol:name ~seed
+        (AF.byz_campaign ~jobs ~seed:seed64 ~executions ?byz ?window
+           ~max_failures spec hardening)
+    else
+      let name = D.Fuzz.byz_protocol_name hardening in
+      report_campaign byz_format ~header:(header name)
+        ~rerun:(run_byz_schedule spec hardening) ~pp_run:pp_sync_run ~corpus
+        ~protocol:name ~seed
+        (D.Fuzz.byz_campaign ~jobs ~seed:seed64 ~executions ?byz ?window
+           ~max_failures spec hardening)
   in
   Cmd.v
     (Cmd.info "byz-fuzz"
        ~doc:"Corruption/Byzantine storm campaign: forged and tampered checkpoint views against plain or validated Protocol A, shrinking any violation to the cheapest breaking schedule")
     Term.(
-      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg
-      $ byz_arg $ window_opt_arg $ corpus_arg $ max_failures_arg $ jobs_arg
-      $ async_arg)
+      const run $ proto_arg $ n_arg $ t_arg $ seed_arg $ executions_arg 200
+      $ byz_arg $ campaign_window_arg $ corpus_arg $ max_failures_arg
+      $ jobs_arg $ async_arg)
 
-let byz_replay_async text =
-  match Campaign.Async.parse text with
-  | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-  | Ok sched ->
-      let meta key =
-        match Campaign.Async.meta sched key with
-        | Some v -> v
-        | None ->
-            prerr_endline ("schedule file lacks meta " ^ key);
-            exit 2
-      in
-      let name = meta "protocol" in
-      (match AF.byz_hardening_of_name name with
-      | None ->
-          prerr_endline
-            ("not a byz-fuzz protocol: " ^ name ^ " (async-a, async-a+val)");
-          exit 2
-      | Some hardening ->
-          let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-          let spec = D.Spec.make ~n ~t in
-          let subject = AF.run_byz_schedule spec hardening sched in
-          let oracles = AF.byz_oracles spec ~hardening in
-          Format.printf
-            "byz replay: protocol=%s n=%d t=%d cost=%d schedule: %a@."
-            (AF.byz_protocol_name hardening)
-            n t
-            (Campaign.Async.cost sched)
-            Campaign.Async.pp sched;
-          Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-            subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-            subject.AF.result.Asim.Event_sim.outcome;
-          (match Campaign.first_failure oracles subject with
-          | None -> Format.printf "verdict: all oracles pass@."
-          | Some (oracle, detail) ->
-              Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-              exit 1))
+(* Both parsers skip blank and comment lines before the header, so the
+   format is chosen by the first line that is neither. *)
+let is_async_schedule text =
+  String.split_on_char '\n' text
+  |> List.map String.trim
+  |> List.find_opt (fun l -> l <> "" && l.[0] <> '#')
+  |> Option.fold ~none:false
+       ~some:(String.starts_with ~prefix:"async-schedule")
 
 let byz_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file produced by byz-fuzz (or hand-written; may contain corrupt/byz entries). Both the synchronous (schedule v1) and asynchronous (async-schedule v1) formats are accepted.")
-  in
   let run file =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    if String.length text >= 14 && String.sub text 0 14 = "async-schedule" then
-      byz_replay_async text
-    else
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let name = meta "protocol" in
-        (match D.Fuzz.byz_hardening_of_name name with
+    let text = read_file file in
+    if is_async_schedule text then
+      let fmt = async_byz_format in
+      let sched = parse_schedule fmt text in
+      let name = meta fmt sched "protocol" in
+      let hardening =
+        match AF.byz_hardening_of_name name with
+        | Some hardening -> hardening
         | None ->
-            prerr_endline ("not a byz-fuzz protocol: " ^ name ^ " (a, a+val)");
-            exit 2
-        | Some hardening ->
-            let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-            let spec = D.Spec.make ~n ~t in
-            let max_rounds =
-              D.Fuzz.byz_max_rounds spec ~window:(byz_horizon sched)
-            in
-            let subject = D.Fuzz.run_byz_schedule ~max_rounds spec hardening sched in
-            let oracles = D.Fuzz.byz_oracles spec ~hardening in
-            Format.printf
-              "byz replay: protocol=%s n=%d t=%d cost=%d schedule: %a@."
-              (D.Fuzz.byz_protocol_name hardening)
-              n t
-              (Campaign.Schedule.cost sched)
-              Campaign.Schedule.pp sched;
-            Format.printf "  %a@." D.Runner.pp subject.D.Fuzz.report;
-            (match Campaign.first_failure oracles subject with
-            | None -> Format.printf "verdict: all oracles pass@."
-            | Some (oracle, detail) ->
-                Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-                exit 1))
+            usage_error
+              ("not a byz-fuzz protocol: " ^ name ^ " (async-a, async-a+val)")
+      in
+      let spec = meta_spec fmt sched in
+      replay fmt ~title:"byz replay" ~protocol:(AF.byz_protocol_name hardening)
+        spec ~pp_run:pp_async_run ~oracles:(AF.byz_oracles spec ~hardening)
+        sched
+        (AF.run_byz_schedule spec hardening sched)
+    else
+      let fmt = byz_format in
+      let sched = parse_schedule fmt text in
+      let name = meta fmt sched "protocol" in
+      let hardening =
+        match D.Fuzz.byz_hardening_of_name name with
+        | Some hardening -> hardening
+        | None ->
+            usage_error ("not a byz-fuzz protocol: " ^ name ^ " (a, a+val)")
+      in
+      let spec = meta_spec fmt sched in
+      replay fmt ~title:"byz replay"
+        ~protocol:(D.Fuzz.byz_protocol_name hardening) spec ~pp_run:pp_sync_run
+        ~oracles:(D.Fuzz.byz_oracles spec ~hardening) sched
+        (run_byz_schedule spec hardening sched)
   in
   Cmd.v
     (Cmd.info "byz-replay"
        ~doc:"Re-run a serialized corruption/Byzantine schedule and re-judge it with the byz oracle stack")
-    Term.(const run $ file_arg)
+    Term.(
+      const run
+      $ schedule_file_arg
+          "Schedule file produced by byz-fuzz (or hand-written; may contain corrupt/byz entries). Both the synchronous (schedule v1) and asynchronous (async-schedule v1) formats are accepted.")
 
-(* ------------------------------------------------------------------ *)
 (* Async campaigns: async-fuzz + async-replay *)
 
-let pp_async_failure ppf (i, (f : Campaign.Async.t Campaign.failure)) =
-  Format.fprintf ppf "violation #%d: oracle=%s (%s)@." i f.Campaign.oracle
-    f.Campaign.detail;
-  Format.fprintf ppf "  schedule: %a@." Campaign.Async.pp f.Campaign.schedule;
-  Format.fprintf ppf "  shrunk (%d executions): %a (%s)@."
-    f.Campaign.shrink_executions Campaign.Async.pp f.Campaign.shrunk
-    f.Campaign.shrunk_detail
-
-let report_async_subject spec sched =
-  let subject = AF.run_schedule spec sched in
-  Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-    subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-    subject.AF.result.Asim.Event_sim.outcome
-
 let async_fuzz_cmd =
-  let executions_arg =
-    Arg.(value & opt int 100 & info [ "executions" ]
-         ~doc:"Random async schedules to run.")
-  in
-  let window_opt_arg =
-    Arg.(value & opt (some int) None & info [ "window" ] ~docv:"TICKS"
-         ~doc:"Crash-tick window (default: twice the failure-free hardened running time).")
-  in
-  let corpus_arg =
-    Arg.(value & opt string "corpus" & info [ "corpus" ] ~docv:"DIR"
-         ~doc:"Directory where shrunk failing schedules are written.")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Extra oracle asserting total work <= $(i,UNITS). Setting it to n deliberately fails under duplication - the hook for demonstrating shrinking and replay.")
-  in
-  let max_failures_arg =
-    Arg.(value & opt int 3 & info [ "max-failures" ]
-         ~doc:"Stop after this many (shrunk) violations.")
-  in
   let run n t seed executions window corpus work_cap max_failures jobs =
-    check_campaign_config ~executions ~window;
-    let spec = D.Spec.make ~n ~t in
+    check_campaign_config ~executions ~window ~max_failures;
+    let spec = make_spec ~n ~t in
     let jobs = resolve_jobs jobs in
-    let extra =
-      match work_cap with None -> [] | Some cap -> [ AF.work_cap cap ]
-    in
-    let stats =
-      AF.campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?window ~extra
-        ~max_failures spec
-    in
-    Format.printf "async campaign: protocol=async-a n=%d t=%d seed=%d@." n t
-      seed;
-    Format.printf "%a@." Campaign.pp_stats stats;
-    List.iteri
-      (fun i f ->
-        Format.printf "%a" pp_async_failure (i, f);
-        report_async_subject spec f.Campaign.shrunk)
-      stats.Campaign.failures;
-    write_async_corpus ~corpus ~protocol:"async-a" ~seed stats.Campaign.failures;
-    if stats.Campaign.failures <> [] then exit 1
+    report_campaign async_format
+      ~header:
+        (Printf.sprintf "async campaign: protocol=async-a n=%d t=%d seed=%d" n
+           t seed)
+      ~rerun:(AF.run_schedule spec) ~pp_run:pp_async_run ~corpus
+      ~protocol:"async-a" ~seed
+      (AF.campaign ~jobs ~seed:(Int64.of_int seed) ~executions ?window
+         ~extra:(Option.to_list (Option.map AF.work_cap work_cap))
+         ~max_failures spec)
   in
   Cmd.v
     (Cmd.info "async-fuzz"
        ~doc:"Async adversary campaign: crashes plus message loss/duplication/slowdown against the hardened asynchronous Protocol A, shrinking any violation")
     Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ executions_arg $ window_opt_arg
-      $ corpus_arg $ work_cap_arg $ max_failures_arg $ jobs_arg)
+      const run $ n_arg $ t_arg $ seed_arg $ executions_arg 100
+      $ campaign_window_arg $ corpus_arg $ work_cap_arg $ max_failures_arg
+      $ jobs_arg)
 
 let async_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Async schedule file produced by async-fuzz (or hand-written).")
-  in
-  let work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "work-cap" ] ~docv:"UNITS"
-         ~doc:"Re-add the extra work <= $(i,UNITS) oracle used when the schedule was found.")
-  in
   let run file work_cap =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Async.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Async.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-        let spec = D.Spec.make ~n ~t in
-        let subject = AF.run_schedule spec sched in
-        let extra =
-          match work_cap with None -> [] | Some cap -> [ AF.work_cap cap ]
-        in
-        let oracles = AF.oracles () @ extra in
-        Format.printf "async replay: n=%d t=%d schedule: %a@." n t
-          Campaign.Async.pp sched;
-        Format.printf "  %a outcome=%a@." Simkit.Metrics.pp_summary
-          subject.AF.result.Asim.Event_sim.metrics Asim.Event_sim.pp_outcome
-          subject.AF.result.Asim.Event_sim.outcome;
-        (match Campaign.first_failure oracles subject with
-        | None -> Format.printf "verdict: all oracles pass@."
-        | Some (oracle, detail) ->
-            Format.printf "verdict: oracle=%s FAILS (%s)@." oracle detail;
-            exit 1)
+    let sched = read_schedule async_format file in
+    let spec = meta_spec async_format sched in
+    replay async_format ~title:"async replay" spec ~pp_run:pp_async_run
+      ~oracles:
+        (AF.oracles () @ Option.to_list (Option.map AF.work_cap work_cap))
+      sched
+      (AF.run_schedule spec sched)
   in
   Cmd.v
     (Cmd.info "async-replay"
        ~doc:"Re-run a serialized async campaign schedule and re-judge it with the same oracle stack")
-    Term.(const run $ file_arg $ work_cap_arg)
+    Term.(
+      const run
+      $ schedule_file_arg
+          "Async schedule file produced by async-fuzz (or hand-written)."
+      $ work_cap_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Real-process deployment: net-run + net-replay *)
@@ -1300,10 +1109,9 @@ let net_check_entries (sched : Campaign.Schedule.t) =
     (fun (e : Campaign.Schedule.entry) ->
       match e.mode with
       | Campaign.Schedule.Corrupt _ | Campaign.Schedule.Byzantine ->
-          prerr_endline
+          usage_error
             "net-run: corrupt/byzantine entries are not realizable over real \
-             sockets";
-          exit 2
+             sockets"
       | _ -> ())
     sched.Campaign.Schedule.entries
 
@@ -1323,10 +1131,7 @@ let net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched =
   match D.Fuzz.recovery_which_of_name protocol with
   | Some which when protocol = "a+rec" || protocol = "b+rec" ->
       D.Fuzz.run_recovery_schedule ~max_rounds ~rejoin_rounds spec which sched
-  | _ -> (
-      match protocol_of_name protocol with
-      | Ok p -> D.Fuzz.run_schedule ~max_rounds spec p sched
-      | Error (`Msg m) -> prerr_endline m; exit 2)
+  | _ -> D.Fuzz.run_schedule ~max_rounds spec (protocol_of_name protocol) sched
 
 let net_parity_check ~(sim : D.Fuzz.subject) ~(real : D.Runner.report) =
   let sm = sim.D.Fuzz.report.D.Runner.metrics and rm = real.D.Runner.metrics in
@@ -1416,15 +1221,6 @@ let diff_arg =
   Arg.(value & flag & info [ "diff" ]
        ~doc:"Also run the identical schedule in the simulator and require effort parity (work, messages, rounds, persists, restarts, crashes).")
 
-let copy_file src dst =
-  let ic = open_in_bin src in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  let oc = open_out_bin dst in
-  output_string oc data;
-  close_out oc
-
 (* Run a schedule against a real-process fleet; shared by net-run and
    net-replay. Returns (config, orchestrator result, runner-shaped
    report). With [~trace_out:(Some path)] the fleet runs traced: nodes and
@@ -1439,7 +1235,7 @@ let net_execute ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
     | Some s -> (
         match Net.Transport.addr_of_string s with
         | Ok a -> a
-        | Error e -> prerr_endline e; exit 2)
+        | Error e -> usage_error e)
     | None -> Net.Transport.Unix_sock (Filename.concat run_dir "ctl.sock")
   in
   let trace_dir =
@@ -1457,7 +1253,7 @@ let net_execute ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
   (match (trace_out, trace_dir) with
   | Some out, Some dir ->
       let merged = Filename.concat dir "trace.jsonl" in
-      if Sys.file_exists merged then copy_file merged out
+      if Sys.file_exists merged then write_file out (read_file merged)
       else Printf.eprintf "net: no merged trace at %s\n%!" merged
   | _ -> ());
   if keep_dir then Printf.eprintf "run dir kept: %s\n%!" run_dir
@@ -1475,16 +1271,13 @@ let net_run_cmd =
       match net_protocol_of_name proto with
       | Some p -> p
       | None ->
-          prerr_endline
-            ("net-run: unknown protocol " ^ proto ^ " (a, b, a+rec, b+rec)");
-          exit 2
+          usage_error
+            ("net-run: unknown protocol " ^ proto ^ " (a, b, a+rec, b+rec)")
     in
     let recovery = protocol = "a+rec" || protocol = "b+rec" in
-    if restarts <> [] && not recovery then begin
-      prerr_endline "net-run: --restarts needs a recovery protocol (a+rec or b+rec)";
-      exit 2
-    end;
-    let spec = D.Spec.make ~n ~t in
+    if restarts <> [] && not recovery then
+      usage_error "net-run: --restarts needs a recovery protocol (a+rec or b+rec)";
+    let spec = make_spec ~n ~t in
     let entry mode (victim, at) = { Campaign.Schedule.victim; at; mode } in
     let sched =
       Campaign.Schedule.make
@@ -1535,83 +1328,60 @@ let net_run_cmd =
       $ max_rounds_arg $ keep_dir_arg $ diff_arg $ report_arg $ trace_out_arg)
 
 let net_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Schedule file (from fuzz, recovery-fuzz, or hand-written).")
-  in
   let run file node_exe addr watchdog io_timeout rejoin_rounds max_rounds
       keep_dir trace_out =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Schedule.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Schedule.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let protocol =
-          match net_protocol_of_name (meta "protocol") with
-          | Some p -> p
-          | None ->
-              prerr_endline
-                ("net-replay: protocol " ^ meta "protocol"
-                ^ " has no real-process deployment (a, b, a+rec, b+rec)");
-              exit 2
-        in
-        let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-        let spec = D.Spec.make ~n ~t in
-        let _cfg, res, rr =
-          net_execute ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
-            ~max_rounds ~keep_dir ~trace_out spec ~protocol sched
-        in
-        Format.printf "net replay: protocol=%s n=%d t=%d schedule: %a@."
-          protocol n t Campaign.Schedule.pp sched;
-        Format.printf "  %a@." D.Runner.pp rr;
-        Format.printf "  outcome: %s@."
-          (Net.Orchestrator.stop_to_string res.Net.Orchestrator.stop);
-        let subject = { D.Fuzz.report = rr; trace = res.Net.Orchestrator.trace } in
-        (* The same oracle stack a simulator replay of this schedule faces. *)
-        let oracles =
-          match D.Fuzz.recovery_which_of_name protocol with
-          | Some which when protocol = "a+rec" || protocol = "b+rec" ->
-              let horizon =
-                List.fold_left
-                  (fun acc (e : Campaign.Schedule.entry) -> max acc e.at)
-                  0 sched.Campaign.Schedule.entries
-              in
-              D.Fuzz.recovery_oracles spec which ~horizon
-          | _ -> D.Fuzz.oracles spec ~protocol
-        in
-        let oracle_failure = Campaign.first_failure oracles subject in
-        (match oracle_failure with
-        | None -> Format.printf "oracles: all pass@."
-        | Some (oracle, detail) ->
-            Format.printf "oracles: %s FAILS (%s)@." oracle detail);
-        let sim =
-          net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched
-        in
-        let parity = net_parity_check ~sim ~real:rr in
-        (match parity with
-        | [] -> Format.printf "diff: sim and real runs agree on every measure@."
-        | ms ->
-            Format.printf "diff: sim-vs-real MISMATCH (%s)@."
-              (String.concat "; " ms));
-        if oracle_failure <> None || parity <> [] then exit 1;
-        net_exit res ~ok:true
+    let sched = read_schedule sync_format file in
+    let name = meta sync_format sched "protocol" in
+    let protocol =
+      match net_protocol_of_name name with
+      | Some p -> p
+      | None ->
+          usage_error
+            ("net-replay: protocol " ^ name
+            ^ " has no real-process deployment (a, b, a+rec, b+rec)")
+    in
+    let spec = meta_spec sync_format sched in
+    let _cfg, res, rr =
+      net_execute ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
+        ~max_rounds ~keep_dir ~trace_out spec ~protocol sched
+    in
+    Format.printf "net replay: protocol=%s n=%d t=%d schedule: %a@." protocol
+      (D.Spec.n spec) (D.Spec.processes spec) Campaign.Schedule.pp sched;
+    Format.printf "  %a@." D.Runner.pp rr;
+    Format.printf "  outcome: %s@."
+      (Net.Orchestrator.stop_to_string res.Net.Orchestrator.stop);
+    let subject = { D.Fuzz.report = rr; trace = res.Net.Orchestrator.trace } in
+    (* The same oracle stack a simulator replay of this schedule faces. *)
+    let oracles =
+      match D.Fuzz.recovery_which_of_name protocol with
+      | Some which when protocol = "a+rec" || protocol = "b+rec" ->
+          D.Fuzz.recovery_oracles spec which ~horizon:(sched_horizon sched)
+      | _ -> D.Fuzz.oracles spec ~protocol
+    in
+    let oracle_failure = Campaign.first_failure oracles subject in
+    (match oracle_failure with
+    | None -> Format.printf "oracles: all pass@."
+    | Some (oracle, detail) ->
+        Format.printf "oracles: %s FAILS (%s)@." oracle detail);
+    let sim = net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched in
+    let parity = net_parity_check ~sim ~real:rr in
+    (match parity with
+    | [] -> Format.printf "diff: sim and real runs agree on every measure@."
+    | ms ->
+        Format.printf "diff: sim-vs-real MISMATCH (%s)@."
+          (String.concat "; " ms));
+    if oracle_failure <> None || parity <> [] then exit 1;
+    net_exit res ~ok:true
   in
   Cmd.v
     (Cmd.info "net-replay"
        ~doc:"Re-run a serialized schedule against real processes, re-judge with the simulator's oracle stack, and require sim-vs-real effort parity")
     Term.(
-      const run $ file_arg $ node_exe_arg $ addr_arg $ watchdog_arg
-      $ io_timeout_arg $ rejoin_arg $ max_rounds_arg $ keep_dir_arg
-      $ trace_out_arg)
+      const run
+      $ schedule_file_arg
+          "Schedule file (from fuzz, recovery-fuzz, or hand-written)."
+      $ node_exe_arg $ addr_arg $ watchdog_arg $ io_timeout_arg $ rejoin_arg
+      $ max_rounds_arg $ keep_dir_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Asynchronous real-process fleet: async-net-run + async-net-replay.
@@ -1621,12 +1391,10 @@ let net_replay_cmd =
    respawns / collects. *)
 
 let async_net_check (sched : Campaign.Async.t) =
-  if sched.Campaign.Async.corrupt_bp > 0 || sched.Campaign.Async.byz <> [] then begin
-    prerr_endline
+  if sched.Campaign.Async.corrupt_bp > 0 || sched.Campaign.Async.byz <> [] then
+    usage_error
       "async-net-run: corrupt/byzantine entries are not realizable over real \
        sockets";
-    exit 2
-  end;
   List.iter
     (fun (r : Campaign.Async.crash) ->
       if
@@ -1636,12 +1404,11 @@ let async_net_check (sched : Campaign.Async.t) =
                c.Campaign.Async.victim = r.Campaign.Async.victim
                && c.Campaign.Async.at < r.Campaign.Async.at)
              sched.Campaign.Async.crashes)
-      then begin
-        Printf.eprintf
-          "async-net-run: restart %d@%d has no earlier crash of that pid\n%!"
-          r.Campaign.Async.victim r.Campaign.Async.at;
-        exit 2
-      end)
+      then
+        usage_error
+          (Printf.sprintf
+             "async-net-run: restart %d@%d has no earlier crash of that pid"
+             r.Campaign.Async.victim r.Campaign.Async.at))
     sched.Campaign.Async.restarts
 
 (* The canonical stdout: protocol-level facts that are deterministic by
@@ -1898,7 +1665,7 @@ let async_net_run_cmd =
   in
   let run n t seed drop dup crashes restarts severs node_exe watchdog tick_ms
       max_ticks keep_dir trace_out diff report_fmt out =
-    let spec = D.Spec.make ~n ~t in
+    let spec = make_spec ~n ~t in
     let sched =
       Campaign.Async.make
         ~meta:
@@ -1919,12 +1686,7 @@ let async_net_run_cmd =
              severs)
         ~seed:(Int64.of_int seed) ()
     in
-    (match out with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Campaign.Async.print sched);
-        close_out oc);
+    Option.iter (fun file -> write_file file (Campaign.Async.print sched)) out;
     async_net_execute ~node_exe ~watchdog ~tick_ms ~max_ticks ~keep_dir
       ~trace_out ~diff ~report_fmt spec sched
   in
@@ -1938,37 +1700,22 @@ let async_net_run_cmd =
       $ out_arg)
 
 let async_net_replay_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Async schedule file (async-schedule v1, as written by async-net-run --out or async-fuzz).")
-  in
   let run file node_exe watchdog tick_ms max_ticks keep_dir trace_out diff
       report_fmt =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Campaign.Async.parse text with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
-    | Ok sched ->
-        let meta key =
-          match Campaign.Async.meta sched key with
-          | Some v -> v
-          | None ->
-              prerr_endline ("schedule file lacks meta " ^ key);
-              exit 2
-        in
-        let n = int_of_string (meta "n") and t = int_of_string (meta "t") in
-        let spec = D.Spec.make ~n ~t in
-        async_net_execute ~node_exe ~watchdog ~tick_ms ~max_ticks ~keep_dir
-          ~trace_out ~diff ~report_fmt spec sched
+    let sched = read_schedule async_format file in
+    let spec = meta_spec async_format sched in
+    async_net_execute ~node_exe ~watchdog ~tick_ms ~max_ticks ~keep_dir
+      ~trace_out ~diff ~report_fmt spec sched
   in
   Cmd.v
     (Cmd.info "async-net-replay"
        ~doc:"Re-run a serialized async schedule against a real dhw_node fleet; the canonical stdout section is deterministic for a fixed schedule, so two replays can be compared byte-for-byte")
     Term.(
-      const run $ file_arg $ node_exe_arg $ watchdog_arg $ tick_ms_arg
-      $ max_ticks_arg $ keep_dir_arg $ trace_out_arg $ diff_arg $ report_arg)
+      const run
+      $ schedule_file_arg
+          "Async schedule file (async-schedule v1, as written by async-net-run --out or async-fuzz)."
+      $ node_exe_arg $ watchdog_arg $ tick_ms_arg $ max_ticks_arg $ keep_dir_arg
+      $ trace_out_arg $ diff_arg $ report_arg)
 
 let trace_cmd =
   let file_arg =
@@ -1985,7 +1732,7 @@ let trace_cmd =
   in
   let run file chrome width =
     match Dhw_util.Spanfile.read_file file with
-    | Error e -> prerr_endline ("trace: " ^ e); exit 2
+    | Error e -> usage_error ("trace: " ^ e)
     | Ok { Dhw_util.Spanfile.spans; _ } -> (
         let spans = Dhw_util.Spanfile.merge [ spans ] in
         match chrome with
@@ -1993,10 +1740,7 @@ let trace_cmd =
             let j = J.pretty (Dhw_util.Spanfile.to_chrome spans) in
             if path = "-" then print_endline j
             else begin
-              let oc = open_out path in
-              output_string oc j;
-              output_char oc '\n';
-              close_out oc;
+              write_file path (j ^ "\n");
               Printf.printf "wrote %s (%d spans)\n" path (List.length spans)
             end
         | None -> Dhw_util.Spanfile.render ~width Format.std_formatter spans)

@@ -168,9 +168,8 @@ let default_window ?max_ticks spec =
   let ff = run_schedule ?max_ticks spec (C.Async.make ()) in
   (2 * Metrics.rounds ff.result.Event_sim.metrics) + 2
 
-(* [?jobs] fans schedule execution out over a Simkit.Pool; omitted, the
-   sequential engine runs as before. Generation stays sequential so seeds
-   keep their meaning. *)
+(* [?jobs] is [Campaign.run_parallel]'s worker count (default: one per
+   core). Generation stays sequential so seeds keep their meaning. *)
 let campaign ?jobs ?(seed = 1L) ?(executions = 100) ?window ?grace
     ?(extra = []) ?max_failures ?shrink_budget ?max_ticks spec =
   let window =
@@ -181,7 +180,7 @@ let campaign ?jobs ?(seed = 1L) ?(executions = 100) ?window ?grace
   let schedules =
     List.init executions (fun _ -> stamp spec (C.Async.sample g ~t ~window))
   in
-  C.run_dispatch ?jobs
+  C.run_parallel ?jobs
     ~run:(run_schedule ?max_ticks spec)
     ~oracles:(oracles ?grace () @ extra)
     ~candidates:C.Async.candidates ?max_failures ?shrink_budget
@@ -308,7 +307,7 @@ let byz_campaign ?jobs ?(seed = 1L) ?(executions = 200) ?window ?byz
     List.init executions (fun _ ->
         byz_stamp spec hardening (C.Async.sample_byz g ~t ~window ~byz))
   in
-  C.run_dispatch ?jobs
+  C.run_parallel ?jobs
     ~run:(run_byz_schedule ?max_ticks spec hardening)
     ~oracles:(byz_oracles spec ~hardening @ extra)
     ~candidates:C.Async.candidates ~cost:C.Async.cost ?max_failures

@@ -91,9 +91,9 @@ val campaign :
 (** A seeded random campaign of [executions] (default 100) schedules from
     {!Simkit.Campaign.Async.sample}, judged by {!oracles} plus [extra],
     each failure shrunk via {!Simkit.Campaign.Async.candidates}. [jobs]
-    fans execution out over a {!Simkit.Pool} of worker domains with
-    byte-identical results for every value; omitted, the sequential engine
-    runs. *)
+    (default {!Simkit.Pool.default_jobs}) fans execution out over a
+    {!Simkit.Pool} of worker domains with byte-identical results for every
+    value; {!byz_campaign} takes it with the same meaning. *)
 
 (** {1 Corruption / Byzantine campaigns}
 

@@ -142,11 +142,10 @@ let default_window spec proto =
   let ff = Runner.run spec proto in
   (2 * Metrics.rounds ff.Runner.metrics) + 2
 
-(* [?jobs] on every campaign driver selects the parallel engine
-   ([Campaign.run_parallel] over a Simkit.Pool); omitted, the sequential
-   engine runs as before. Schedule *generation* stays sequential either
-   way — it walks one seeded PRNG, which keeps historical seeds meaning
-   the same campaigns — only execution and judging fan out. *)
+(* Every campaign driver runs on [Campaign.run_parallel]; [?jobs] is its
+   worker count (default: one per core). Schedule *generation* stays
+   sequential — it walks one seeded PRNG, which keeps historical seeds
+   meaning the same campaigns — only execution and judging fan out. *)
 let campaign ?jobs ?(seed = 1L) ?(executions = 200) ?window ?(extra = [])
     ?max_failures ?shrink_budget spec proto =
   let window =
@@ -157,7 +156,7 @@ let campaign ?jobs ?(seed = 1L) ?(executions = 200) ?window ?(extra = [])
   let schedules =
     List.init executions (fun _ -> stamp spec proto (C.sample g ~t ~window))
   in
-  C.run_dispatch ?jobs
+  C.run_parallel ?jobs
     ~run:(run_schedule spec proto)
     ~oracles:(oracles spec ~protocol:proto.Protocol.name @ extra)
     ~candidates:C.schedule_candidates ?max_failures ?shrink_budget
@@ -282,7 +281,7 @@ let recovery_campaign ?jobs ?(seed = 1L) ?(executions = 200) ?window
       | Recovery.A -> Bounds.a_rounds (Grid.make spec)
       | Recovery.B -> Bounds.b_rounds (Grid.make spec))) + 64)
   in
-  C.run_dispatch ?jobs
+  C.run_parallel ?jobs
     ~run:(run_recovery_schedule ~max_rounds ?rejoin_rounds spec which)
     ~oracles:(recovery_oracles spec which ~horizon @ extra)
     ~candidates:C.schedule_candidates ?max_failures ?shrink_budget
@@ -413,7 +412,7 @@ let byz_campaign ?jobs ?(seed = 1L) ?(executions = 200) ?window ?byz
     List.init executions (fun _ ->
         byz_stamp spec hardening (C.sample_byz g ~t ~window ~byz))
   in
-  C.run_dispatch ?jobs
+  C.run_parallel ?jobs
     ~run:(run_byz_schedule ~max_rounds:(byz_max_rounds spec ~window) spec hardening)
     ~oracles:(byz_oracles spec ~hardening @ extra)
     ~candidates:C.schedule_candidates ~cost:C.Schedule.cost ?max_failures
@@ -434,7 +433,7 @@ let exhaustive_campaign ?jobs ?window ?round_step ?modes ?(extra = [])
   let schedules =
     Seq.map (stamp spec proto) (C.exhaustive ~t ~window ~round_step ~modes ())
   in
-  C.run_dispatch ?jobs
+  C.run_parallel ?jobs
     ~run:(run_schedule spec proto)
     ~oracles:(oracles spec ~protocol:proto.Protocol.name @ extra)
     ~candidates:C.schedule_candidates ?max_failures ?shrink_budget schedules

@@ -52,11 +52,13 @@ val campaign :
 (** Seeded-random campaign: [executions] (default 200) schedules from
     {!Simkit.Campaign.sample} with crash rounds in [0, window] (default:
     twice the failure-free running time), judged by {!oracles} plus
-    [extra]. [jobs] fans execution out over a {!Simkit.Pool} of worker
-    domains (results are byte-identical for every value, see
-    {!Simkit.Campaign.run_parallel}); omitted, the sequential engine runs.
-    Schedule generation is sequential either way, so a seed names the same
-    campaign regardless of [jobs]. *)
+    [extra]. [jobs] (default {!Simkit.Pool.default_jobs}) fans execution
+    out over a {!Simkit.Pool} of worker domains. The whole campaign is
+    always judged, so results, failing campaigns included, are
+    byte-identical for every value (see {!Simkit.Campaign.run_parallel});
+    the other campaign drivers below take [jobs] with the same meaning.
+    Schedule generation is sequential, so a seed names the same campaign
+    regardless of [jobs]. *)
 
 (** {1 Crash–recovery campaigns} *)
 

@@ -707,78 +707,19 @@ type 'a stats = {
   margins : (string * float) list;
 }
 
-let run ~run:exec ~oracles ~candidates ?cost ?(max_failures = 3)
-    ?(shrink_budget = 500) schedules =
-  let n_schedules = ref 0 in
-  let executions = ref 0 in
-  let failures = ref [] in
-  let margins : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let note_margin name m =
-    match Hashtbl.find_opt margins name with
-    | Some m' when m' >= m -> ()
-    | _ -> Hashtbl.replace margins name m
-  in
-  let judge sched =
-    incr n_schedules;
-    incr executions;
-    let r = exec sched in
-    List.fold_left
-      (fun acc o ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            match o.check r with
-            | Pass -> None
-            | Pass_margin m ->
-                note_margin o.name m;
-                None
-            | Fail detail -> Some (o.name, detail)))
-      None oracles
-  in
-  (try
-     Seq.iter
-       (fun sched ->
-         match judge sched with
-         | None -> ()
-         | Some (oracle, detail) ->
-             let shrunk, shrunk_detail, spent =
-               shrink ~run:exec ~oracles ~oracle ~candidates ?cost
-                 ~budget:shrink_budget sched
-             in
-             executions := !executions + spent;
-             failures :=
-               { schedule = sched; oracle; detail; shrunk; shrunk_detail;
-                 shrink_executions = spent }
-               :: !failures;
-             if List.length !failures >= max_failures then raise Exit)
-       schedules
-   with Exit -> ());
-  let margins =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) margins []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  {
-    schedules = !n_schedules;
-    executions = !executions;
-    failures = List.rev !failures;
-    margins;
-  }
-
-(* Parallel campaign engine: judge every schedule on a [Simkit.Pool] of
-   [jobs] worker domains, then reduce the verdicts strictly in schedule
-   order, shrinking sequentially (shrinking is a greedy walk whose
-   minimality argument depends on candidate order, so it stays on one
-   domain). The trade against the sequential [run] is early exit: [run]
-   stops executing once [max_failures] violations are found, while this
-   engine always judges the whole campaign and then keeps the first
-   [max_failures] failures in schedule order — the price of results that
-   are byte-identical for every [jobs] value. With no violations the two
-   engines agree exactly. Generic over the schedule type, like [run]. *)
+(* The campaign engine: judge every schedule on a [Simkit.Pool] of [jobs]
+   worker domains (one worker is a plain loop in the calling domain), then
+   reduce the verdicts strictly in schedule order, shrinking sequentially
+   (shrinking is a greedy walk whose minimality argument depends on
+   candidate order, so it stays on one domain). The whole campaign is
+   always judged, and the first [max_failures] failures in schedule order
+   are kept, so results are byte-identical for every [jobs] value. Generic
+   over the schedule type. *)
 let run_parallel ?jobs ~run:exec ~oracles ~candidates ?cost
     ?(max_failures = 3) ?(shrink_budget = 500) schedules =
   let scheds = Array.of_seq schedules in
-  (* Pure per-schedule judgement, mirroring [run]'s oracle fold: margins
-     are noted only for oracles checked before the first failure. *)
+  (* Pure per-schedule judgement: margins are noted only for oracles
+     checked before the first failure. *)
   let judge sched =
     let r = exec sched in
     List.fold_left
@@ -827,19 +768,6 @@ let run_parallel ?jobs ~run:exec ~oracles ~candidates ?cost
     failures = List.rev !failures;
     margins;
   }
-
-(* [jobs = None] keeps the sequential engine (and its early-exit
-   semantics); [Some j] selects the parallel engine, whose results do not
-   depend on [j]. *)
-let run_dispatch ?jobs ~run:exec ~oracles ~candidates ?cost ?max_failures
-    ?shrink_budget schedules =
-  match jobs with
-  | None ->
-      run ~run:exec ~oracles ~candidates ?cost ?max_failures ?shrink_budget
-        schedules
-  | Some jobs ->
-      run_parallel ~jobs ~run:exec ~oracles ~candidates ?cost ?max_failures
-        ?shrink_budget schedules
 
 let pp_stats ppf s =
   Format.fprintf ppf "schedules=%d executions=%d violations=%d" s.schedules

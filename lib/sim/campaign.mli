@@ -10,9 +10,11 @@
     {!type:oracle}s. Any failure is shrunk on the spot to a locally-minimal
     counterexample and can be written out, replayed and re-judged exactly.
 
-    The engine is protocol-agnostic; [Doall.Fuzz] instantiates it for the
-    paper's protocols and [doall_cli fuzz] / [doall_cli replay] expose it on
-    the command line. *)
+    The engine ({!run_parallel}) is protocol-agnostic and judges
+    executions on a {!Pool} of worker domains. [Doall.Fuzz] and
+    [Asim.Async_fuzz] instantiate it for the paper's protocols on both
+    substrates, and [doall_cli] exposes one fuzz and one replay subcommand
+    per fault model. *)
 
 open Types
 
@@ -207,23 +209,10 @@ type 'a failure = {
 type 'a stats = {
   schedules : int;  (** campaign schedules judged *)
   executions : int;  (** total protocol runs, including shrinking *)
-  failures : 'a failure list;  (** in discovery order *)
+  failures : 'a failure list;  (** in schedule order *)
   margins : (string * float) list;
       (** per oracle, the worst (largest) margin observed on passing runs *)
 }
-
-val run :
-  run:('a -> 'r) ->
-  oracles:'r oracle list ->
-  candidates:('a -> 'a Seq.t) ->
-  ?cost:('a -> int) ->
-  ?max_failures:int ->
-  ?shrink_budget:int ->
-  'a Seq.t ->
-  'a stats
-(** Execute and judge every schedule; shrink each failure on the spot
-    ([?cost] is forwarded to {!shrink}). Stops early once [max_failures]
-    (default 3) failures have been collected. *)
 
 val run_parallel :
   ?jobs:int ->
@@ -235,27 +224,15 @@ val run_parallel :
   ?shrink_budget:int ->
   'a Seq.t ->
   'a stats
-(** The multicore engine: execute and judge the schedules on [jobs] worker
-    domains (default {!Pool.default_jobs}; [1] is a plain sequential loop),
-    then reduce the verdicts strictly in schedule order. Results are
-    byte-identical for every [jobs] value. Shrinking stays sequential — the
-    greedy walk's local-minimality argument depends on candidate order.
-    Differs from {!run} only in early exit: the whole campaign is always
-    executed, and the first [max_failures] failures in schedule order are
-    kept; with no violations the two engines return identical stats. *)
-
-val run_dispatch :
-  ?jobs:int ->
-  run:('a -> 'r) ->
-  oracles:'r oracle list ->
-  candidates:('a -> 'a Seq.t) ->
-  ?cost:('a -> int) ->
-  ?max_failures:int ->
-  ?shrink_budget:int ->
-  'a Seq.t ->
-  'a stats
-(** [run] when [jobs] is omitted, [run_parallel ~jobs] otherwise — the
-    switch behind every front-end's [?jobs] parameter. *)
+(** The campaign engine: execute and judge every schedule on [jobs] worker
+    domains (default {!Pool.default_jobs}; [1] is a plain loop in the
+    calling domain), then reduce the verdicts strictly in schedule order,
+    shrinking the first [max_failures] (default 3) failures on the spot
+    ([?cost] is forwarded to {!shrink}). The whole campaign is always
+    judged, so results are byte-identical for every [jobs] value; with
+    [max_failures = 0] it is judged without shrinking and no failure is
+    kept. Shrinking stays sequential — the greedy walk's local-minimality
+    argument depends on candidate order. *)
 
 val pp_stats : Format.formatter -> 'a stats -> unit
 

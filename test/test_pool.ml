@@ -131,7 +131,7 @@ let test_clean_sync_campaign_parity () =
   List.iter
     (fun jobs ->
       check_stats
-        (Printf.sprintf "sync clean: jobs=%d = sequential" jobs)
+        (Printf.sprintf "sync clean: jobs=%d = default jobs" jobs)
         reference
         (Doall.Fuzz.campaign ~jobs ~seed:5L ~executions:80 spec
            Doall.Protocol_a.protocol))
@@ -139,7 +139,7 @@ let test_clean_sync_campaign_parity () =
 
 let test_failing_sync_campaign_parity () =
   (* work-cap 1 is violated by every schedule, so this exercises failure
-     collection and the sequential shrinker under both engines. *)
+     collection and the sequential shrinker at every worker count. *)
   let spec = Helpers.spec ~n:12 ~t:4 in
   let go jobs =
     Doall.Fuzz.campaign ?jobs ~seed:1L ~executions:60
