@@ -253,7 +253,7 @@ let async_main () =
   let units = ref 0 in
   let procs = ref 0 in
   let plan_path = ref "" in
-  let tick_ms = ref 5 in
+  let tick_ms = ref Net.Async_node.default_tick_ms in
   let epoch_ms = ref 0.0 in
   let incarnation = ref 0 in
   let recover = ref false in

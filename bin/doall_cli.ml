@@ -1434,14 +1434,15 @@ let async_net_print_canonical spec sched (rep : Net.Fleet.report) =
 let async_net_rich_report ~report_fmt spec sched (rep : Net.Fleet.report) =
   let transport_totals =
     List.fold_left
-      (fun (ds, rt, ab, dg, un) (nr : Net.Fleet.node_report) ->
+      (fun (ds, rt, ab, by, dg, un) (nr : Net.Fleet.node_report) ->
         let c = Net.Fleet.counter nr.Net.Fleet.nr_counters in
         ( ds + c "data_sent",
           rt + c "retransmits",
           ab + c "abandoned",
+          by + c "byes_sent",
           dg + c "dg_sent",
           un + c "undeliverable" ))
-      (0, 0, 0, 0, 0) rep.Net.Fleet.nodes
+      (0, 0, 0, 0, 0, 0) rep.Net.Fleet.nodes
   in
   let detector_totals =
     List.fold_left
@@ -1455,11 +1456,11 @@ let async_net_rich_report ~report_fmt spec sched (rep : Net.Fleet.report) =
   in
   match report_fmt with
   | `Text ->
-      let ds, rt, ab, dg, un = transport_totals in
+      let ds, rt, ab, by, dg, un = transport_totals in
       Format.printf
-        "transport: data=%d retransmits=%d abandoned=%d datagrams=%d \
+        "transport: data=%d retransmits=%d abandoned=%d byes=%d datagrams=%d \
          undeliverable=%d wall=%.2fs@."
-        ds rt ab dg un rep.Net.Fleet.wall_s;
+        ds rt ab by dg un rep.Net.Fleet.wall_s;
       let su, fs, us, pk = detector_totals in
       Format.printf
         "detector: suspicions=%d false=%d unsuspects=%d parks=%d@." su fs us
@@ -1478,7 +1479,7 @@ let async_net_rich_report ~report_fmt spec sched (rep : Net.Fleet.report) =
           (Dhw_util.Hist.quantile h 0.99)
           (Dhw_util.Hist.max_value h)
   | `Json ->
-      let ds, rt, ab, dg, un = transport_totals in
+      let ds, rt, ab, by, dg, un = transport_totals in
       let su, fs, us, pk = detector_totals in
       let node_json (nr : Net.Fleet.node_report) =
         J.Obj
@@ -1522,6 +1523,7 @@ let async_net_rich_report ~report_fmt spec sched (rep : Net.Fleet.report) =
                       ("data_sent", J.Int ds);
                       ("retransmits", J.Int rt);
                       ("abandoned", J.Int ab);
+                      ("byes_sent", J.Int by);
                       ("datagrams_sent", J.Int dg);
                       ("undeliverable", J.Int un);
                     ] );
@@ -1614,8 +1616,10 @@ let async_net_execute ~node_exe ~watchdog ~tick_ms ~max_ticks ~keep_dir
   async_net_exit rep ~parity
 
 let tick_ms_arg =
-  Arg.(value & opt int 5 & info [ "tick-ms" ] ~docv:"MS"
-       ~doc:"Wall-clock quantum one protocol tick maps to.")
+  Arg.(value
+       & opt int Net.Async_node.default_tick_ms
+       & info [ "tick-ms" ] ~docv:"MS"
+           ~doc:"Wall-clock quantum one protocol tick maps to.")
 
 let max_ticks_arg =
   Arg.(value & opt int 20_000 & info [ "max-ticks" ]

@@ -39,6 +39,7 @@ let create proc ~pid =
   }
 
 let state e = e.state
+let map_state e f = if not e.terminated then e.state <- f e.state
 let terminated e = e.terminated
 
 let next_wakeup e =

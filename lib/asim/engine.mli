@@ -32,8 +32,10 @@ val deliver : ('s, 'm) t -> now:int -> src:pid -> 'm -> 'm effects
 (** Deliver [Got {src; payload}] — an arrived message. *)
 
 val notice : ('s, 'm) t -> now:int -> pid -> 'm effects
-(** Deliver [Retired_notice] — an external detector verdict. The organic
-    fleet never calls this; it exists for oracle-driven tests. *)
+(** Deliver [Retired_notice] — an external retirement verdict. The real
+    fleet calls it when a peer announces its clean exit (the Section 2.1
+    service reports terminations as well as crashes); oracle-driven tests
+    call it directly. *)
 
 val advance : ('s, 'm) t -> now:int -> 'm effects
 (** Fire every [Continue] wakeup scheduled at or before [now], one
@@ -42,6 +44,12 @@ val advance : ('s, 'm) t -> now:int -> 'm effects
 val next_wakeup : ('s, 'm) t -> int option
 (** Earliest pending [Continue] time — the caller's sleep deadline.
     [None] when nothing is scheduled (quiescent until a message). *)
+
+val map_state : ('s, 'm) t -> ('s -> 's) -> unit
+(** Replace the state out of band: no event is delivered, and no effect or
+    wakeup results. For transport facts the event alphabet has no word
+    for, such as the real fleet seeing a restarted peer's new incarnation
+    ({!Link.rejoin}). A no-op once terminated. *)
 
 val state : ('s, 'm) t -> 's
 val terminated : ('s, 'm) t -> bool

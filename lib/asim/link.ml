@@ -302,3 +302,17 @@ let in_flight st = List.length st.pending
 
 let suspects st =
   match st.hb with Some hb -> Heartbeat.suspects hb | None -> []
+
+let rejoin ?stats st q ~now =
+  let cleared =
+    match st.hb with
+    | None -> false
+    | Some hb ->
+        let before = (Heartbeat.stats hb).Heartbeat.unsuspects in
+        Heartbeat.rejoin hb q ~now;
+        (Heartbeat.stats hb).Heartbeat.unsuspects > before
+  in
+  (match stats with
+  | Some s when cleared -> s.unsuspects <- s.unsuspects + 1
+  | _ -> ());
+  { st with retired = ISet.remove q st.retired }

@@ -70,8 +70,8 @@ type stats = {
           detector was provably wrong *)
   mutable unsuspects : int;
       (** suspected->trusted transitions performed; equals
-          [false_suspicions] under crash-stop, and would additionally count
-          {!Heartbeat.rejoin}s of genuinely-restarted peers *)
+          [false_suspicions] under crash-stop, and additionally counts
+          every {!rejoin} that clears the suspicion of a restarted peer *)
   mutable abandoned : int;
       (** packets dropped after exhausting [config.max_retries]
           retransmissions (always 0 with the unlimited default) *)
@@ -109,6 +109,17 @@ val suspects : ('s, 'm) state -> pid list
 (** The peers this process's heartbeat monitor currently suspects; [[]]
     without a [?heartbeat]. A node whose suspect set covers every peer has
     lost its quorum — the real-fleet driver parks on this signal. *)
+
+val rejoin : ?stats:stats -> ('s, 'm) state -> pid -> now:time -> ('s, 'm) state
+(** [rejoin st q ~now]: [q] is known to have restarted, for instance
+    because a crash-recovery transport saw a higher incarnation of it.
+    Sends to [q] resume, and its monitor is re-armed through
+    {!Heartbeat.rejoin}: a standing suspicion is cleared with the initial
+    timeout restored, and counted in [stats.unsuspects] but not as a false
+    suspicion, because [q] really was down. The inner protocol is not told,
+    as on the evidence path. Call it before delivering [q]'s first message
+    of the new incarnation, so that message is not taken as evidence
+    against a correct suspicion. *)
 
 val harden :
   ?config:config ->

@@ -20,7 +20,15 @@
    - {b graceful degradation}: when the local detector suspects every
      peer at once the node has lost its quorum — it persists, marks a
      park span, and keeps beating; any later evidence of life retracts
-     the suspicions organically and the span closes with an unpark. *)
+     the suspicions organically and the span closes with an unpark;
+   - {b incarnation-aware detection}: every datagram names its sender's
+     incarnation, so the first one from a higher incarnation is a rejoin
+     ([Link.rejoin]) rather than evidence that a correct suspicion of the
+     dead predecessor was false;
+   - {b clean exit}: a terminating node says bye to its peers, which
+     stop monitoring it and stop waiting for its acks (the Section 2.1
+     detector reports terminations as well as crashes), and it sends
+     every delayed datagram at its release tick before it exits. *)
 
 module E = Asim.Event_sim
 module Link = Asim.Link
@@ -49,7 +57,9 @@ type config = {
   rto : int;
 }
 
-let config ?(incarnation = 0) ?(recover = false) ?(tick_ms = 5)
+let default_tick_ms = 5
+
+let config ?(incarnation = 0) ?(recover = false) ?(tick_ms = default_tick_ms)
     ?(plan = Chaos.none) ?(max_ticks = 200_000) ?(hb_period = 10)
     ?(hb_timeout = 60) ?(rto = 16) ~dir ~pid ~spec ~epoch_ms () =
   if tick_ms < 1 then invalid_arg "Async_node.config: tick_ms < 1";
@@ -74,6 +84,28 @@ let trace_path ~dir ~pid ~inc =
   Filename.concat dir (Printf.sprintf "trace-p%d-i%d.jsonl" pid inc)
 
 let wall_ms () = Unix.gettimeofday () *. 1000.0
+
+(* The longest single wait, so arrivals stay responsive. *)
+let max_sleep_s = 0.05
+
+let boundary_sleep_s ~epoch_ms ~tick_ms ~now_ms ~deadline =
+  if deadline = max_int then max_sleep_s
+  else
+    let start_ms = epoch_ms +. (float_of_int deadline *. float_of_int tick_ms) in
+    Float.min max_sleep_s (Float.max 0.0 ((start_ms -. now_ms) /. 1000.0))
+
+(* Copies of a bye per peer. Fates are keyed on content, so one copy from
+   a given pid to a given peer meets the same fate on every run of a seed;
+   independent copies make losing all of them rare, and the peer's
+   heartbeat timeout still covers that case. *)
+let bye_copies = 3
+
+let sender = function
+  | Codec.P_data { src; inc; _ }
+  | Codec.P_ack { src; inc; _ }
+  | Codec.P_beat { src; inc }
+  | Codec.P_bye { src; inc } ->
+      (src, inc)
 
 (* exit codes, aligned with the CLI contract *)
 let exit_ok = 0
@@ -168,6 +200,16 @@ let run cfg =
   (* --- outgoing path: chaos judge + delay queue ------------------------ *)
   let delayed : (int * int * string) list ref = ref [] in
   let send_raw dst bytes = ignore (Mesh.send mesh ~dst bytes) in
+  let dispatch ~tick dst bytes kind =
+    let v =
+      Chaos.judge cfg.plan ~stats:chaos_stats ~src:me ~dst ~kind ~now:tick ()
+    in
+    List.iter
+      (fun release ->
+        if release <= tick then send_raw dst bytes
+        else delayed := (release, dst, bytes) :: !delayed)
+      v.Chaos.release_at
+  in
   let transmit ~tick dst wire =
     let bytes, kind =
       match wire with
@@ -186,19 +228,19 @@ let run cfg =
           beat_index.(dst) <- i + 1;
           (Codec.encode_peer (Codec.P_beat { src = me; inc }), Chaos.Beat { index = i })
     in
-    let v =
-      Chaos.judge cfg.plan ~stats:chaos_stats ~src:me ~dst ~kind ~now:tick ()
-    in
-    List.iter
-      (fun release ->
-        if release <= tick then send_raw dst bytes
-        else delayed := (release, dst, bytes) :: !delayed)
-      v.Chaos.release_at
+    dispatch ~tick dst bytes kind
   in
   let release_due ~tick =
     let due, rest = List.partition (fun (r, _, _) -> r <= tick) !delayed in
     delayed := rest;
     List.iter (fun (_, dst, bytes) -> send_raw dst bytes) due
+  in
+  let next_release () =
+    List.fold_left (fun acc (r, _, _) -> min acc r) max_int !delayed
+  in
+  let sleep_s ~deadline =
+    boundary_sleep_s ~epoch_ms:cfg.epoch_ms ~tick_ms:cfg.tick_ms
+      ~now_ms:(wall_ms ()) ~deadline
   in
   (* --- effect processing ------------------------------------------------ *)
   let work_done = ref [] in
@@ -219,21 +261,76 @@ let run cfg =
     if eff.Engine.terminated then terminated := true
   in
   (* --- incoming path ---------------------------------------------------- *)
+  (* the highest incarnation heard from each peer, and whether that
+     incarnation has said bye *)
+  let peer_inc = Array.make t 0 and said_bye = Array.make t false in
+  let is_peer src = src >= 0 && src < t && src <> me in
+  let rejoin_if_new ~tick ~src sinc =
+    if is_peer src && sinc > peer_inc.(src) then begin
+      peer_inc.(src) <- sinc;
+      said_bye.(src) <- false;
+      Engine.map_state eng (fun st ->
+          Link.rejoin ~stats:link_stats st src ~now:tick);
+      mark ~tick "rejoin"
+        ~args:
+          [ ("peer", Dhw_util.Jsonw.Int src); ("inc", Dhw_util.Jsonw.Int sinc) ]
+    end
+  in
   let deliver ~tick bytes =
     match Codec.decode_peer bytes with
     | exception Wire.Decode _ -> mark ~tick "bad-datagram"
-    | Codec.P_data { src; inc = sinc; seq; ord } ->
-        observe_ord ~tick ~src ord;
-        let namespaced = (sinc * seq_span) + seq in
-        handle ~tick
-          (Engine.deliver eng ~now:tick ~src
-             (Link.Data { seq = namespaced; payload = ord }))
-    | Codec.P_ack { src; target_inc; seq; _ } ->
-        if target_inc = inc then
-          handle ~tick (Engine.deliver eng ~now:tick ~src (Link.Ack seq))
-        (* else: an ack addressed to a dead predecessor incarnation *)
-    | Codec.P_beat { src; _ } ->
-        handle ~tick (Engine.deliver eng ~now:tick ~src Link.Beat)
+    | msg -> (
+        let src, sinc = sender msg in
+        rejoin_if_new ~tick ~src sinc;
+        match msg with
+        | Codec.P_data { seq; ord; _ } ->
+            observe_ord ~tick ~src ord;
+            let namespaced = (sinc * seq_span) + seq in
+            handle ~tick
+              (Engine.deliver eng ~now:tick ~src
+                 (Link.Data { seq = namespaced; payload = ord }))
+        | Codec.P_ack { target_inc; seq; _ } ->
+            if target_inc = inc then
+              handle ~tick (Engine.deliver eng ~now:tick ~src (Link.Ack seq))
+            (* else: an ack addressed to a dead predecessor incarnation *)
+        | Codec.P_beat _ ->
+            handle ~tick (Engine.deliver eng ~now:tick ~src Link.Beat)
+        | Codec.P_bye _ ->
+            (* the first copy from the peer's current incarnation is its
+               termination notice; later copies and stale ones are not *)
+            if is_peer src && sinc = peer_inc.(src) && not said_bye.(src)
+            then begin
+              said_bye.(src) <- true;
+              mark ~tick "bye"
+                ~args:
+                  [
+                    ("peer", Dhw_util.Jsonw.Int src);
+                    ("inc", Dhw_util.Jsonw.Int sinc);
+                  ];
+              handle ~tick (Engine.notice eng ~now:tick src)
+            end)
+  in
+  (* --- clean exit --------------------------------------------------------- *)
+  let byes_sent = ref 0 in
+  let say_bye ~tick =
+    let bytes = Codec.encode_peer (Codec.P_bye { src = me; inc }) in
+    for q = 0 to t - 1 do
+      if is_peer q && not said_bye.(q) then
+        for attempt = 0 to bye_copies - 1 do
+          incr byes_sent;
+          dispatch ~tick q bytes (Chaos.Bye { attempt })
+        done
+    done
+  in
+  (* send every delayed datagram at its release tick: at most
+     [max_delay * slow_factor] ticks *)
+  let rec flush () =
+    if !delayed <> [] then begin
+      (try Unix.sleepf (sleep_s ~deadline:(next_release ()))
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      release_due ~tick:(now_tick ());
+      flush ()
+    end
   in
   (* --- suspect / park bookkeeping --------------------------------------- *)
   let seen_suspects = ref 0 and seen_unsuspects = ref 0 in
@@ -284,22 +381,14 @@ let run cfg =
         handle ~tick (Engine.advance eng ~now:tick);
         drain_detector_logs ();
         check_park ~tick;
-        (* sleep until the next engine wakeup or delayed release, capped
-           so arrivals stay responsive *)
-        let next_release =
-          List.fold_left (fun acc (r, _, _) -> min acc r) max_int !delayed
-        in
+        (* sleep until the start of the tick of the next engine wakeup or
+           delayed release, capped so arrivals stay responsive *)
         let deadline =
           min
             (match Engine.next_wakeup eng with None -> max_int | Some w -> w)
-            next_release
+            (next_release ())
         in
-        let wait_ticks = if deadline = max_int then 1 else max 0 (deadline - tick) in
-        let timeout_s =
-          Float.min 0.05
-            (float_of_int (max 1 wait_ticks) *. float_of_int cfg.tick_ms /. 1000.)
-        in
-        (match Mesh.recv mesh ~timeout_s with
+        (match Mesh.recv mesh ~timeout_s:(sleep_s ~deadline) with
         | Some bytes ->
             deliver ~tick:(now_tick ()) bytes;
             (* drain whatever else is queued without sleeping *)
@@ -316,8 +405,12 @@ let run cfg =
       end
   in
   loop ();
+  if !terminated then begin
+    say_bye ~tick:(now_tick ());
+    flush ()
+  end
+  else release_due ~tick:(now_tick ());
   let end_tick = now_tick () in
-  release_due ~tick:end_tick;
   drain_detector_logs ();
   if !terminated then begin
     persist ~tick:end_tick;
@@ -340,6 +433,7 @@ let run cfg =
       ("retransmits", link_stats.Link.retransmits);
       ("acks_sent", link_stats.Link.acks_sent);
       ("beats_sent", link_stats.Link.beats_sent);
+      ("byes_sent", !byes_sent);
       ("dups_suppressed", link_stats.Link.dups_suppressed);
       ("recoveries", link_stats.Link.recoveries);
       ("suspicions", link_stats.Link.suspicions);

@@ -12,7 +12,19 @@
     [trace-p<pid>-i<inc>.jsonl] span stream (flushed per line — a SIGKILL
     loses at most the current line), persists its best checkpoint
     knowledge through {!Ckpt}, and on clean termination writes an atomic
-    [result-p<pid>.bin] counter bag. *)
+    [result-p<pid>.bin] counter bag.
+
+    A clean exit is announced: the terminating node sends each peer a few
+    [Codec.P_bye] copies through {!Chaos}, and a peer that receives one
+    hands it to [Asim.Engine.notice], so it stops monitoring the node and
+    stops waiting for its acks, as the Section 2.1 detection service
+    reports terminations. If every copy is lost, the peer's heartbeat
+    timeout still retires the node. A SIGKILLed node sends nothing and is
+    detected by heartbeats alone. *)
+
+val default_tick_ms : int
+(** The wall-clock length of one tick when none is given: 5 ms. The
+    fleet, the node binary and the CLI all default to it. *)
 
 type config = {
   dir : string;  (** run directory: sockets, checkpoints, traces, results *)
@@ -49,14 +61,28 @@ val config :
   epoch_ms:float ->
   unit ->
   config
-(** Defaults: incarnation 0, no recover, tick 5 ms, no chaos, max_ticks
-    200_000, heartbeat period 10 / timeout 60 ticks, rto 16 ticks. *)
+(** Defaults: incarnation 0, no recover, tick {!default_tick_ms}, no
+    chaos, max_ticks 200_000, heartbeat period 10 / timeout 60 ticks, rto
+    16 ticks. *)
 
 val result_path : dir:string -> pid:int -> string
 val trace_path : dir:string -> pid:int -> inc:int -> string
 
+val boundary_sleep_s :
+  epoch_ms:float -> tick_ms:int -> now_ms:float -> deadline:int -> float
+(** How long a node at wall-clock [now_ms] sleeps to wake at the start of
+    tick [deadline], which begins at [epoch_ms + deadline * tick_ms]: never
+    negative and never above 50 ms, so arrivals stay responsive.
+    [deadline = max_int] (nothing scheduled) gives the 50 ms cap. Waking at
+    the tick boundary, not a whole tick after the current instant, keeps a
+    step from overshooting its tick by however far into the tick the node
+    woke. *)
+
 val run : config -> int
 (** Run to completion; returns the process exit code — [0] terminated
     (every unit known done, transport drained), [3] stalled past
-    [max_ticks]. Either way the result file is written atomically before
-    returning. *)
+    [max_ticks]. On [0] the node first says bye to every peer that has not
+    said bye to it, and then sends each datagram still held by chaos
+    delay at its release tick (at most [max_delay * slow_factor] ticks),
+    so its last acks are not lost with it. Either way the result file is
+    written atomically before returning. *)

@@ -4,12 +4,13 @@
    The decisive trick is that every verdict is CONTENT-KEYED, not
    order-keyed: the fate of a transmission is a pure function of
    (seed, src, dst, kind, key) where the key names the message identity —
-   (seq, attempt) for data and acks, the beat index for heartbeats. A
-   real fleet's event order wobbles with scheduling, so consuming one
-   shared coin stream per decision (the simulator's approach) would
-   diverge between runs; hashing the identity instead makes the same
-   message meet the same fate in every execution of the same seed, which
-   is what lets async-net-replay reproduce a storm. *)
+   (seq, attempt) for data and acks, the beat index for heartbeats, the
+   copy number for byes. A real fleet's event order wobbles with
+   scheduling, so consuming one shared coin stream per decision (the
+   simulator's approach) would diverge between runs; hashing the identity
+   instead makes the same message meet the same fate in every execution
+   of the same seed, which is what lets async-net-replay reproduce a
+   storm. *)
 
 module C = Simkit.Campaign
 module Prng = Dhw_util.Prng
@@ -20,6 +21,7 @@ type kind =
          or a 30% drop rate would kill a given packet forever *)
   | Ack of { seq : int; attempt : int }
   | Beat of { index : int }
+  | Bye of { attempt : int }
 
 type plan = {
   drop_bp : int;
@@ -73,6 +75,7 @@ let kind_key = function
   | Data { seq; attempt } -> (0, seq, attempt)
   | Ack { seq; attempt } -> (1, seq, attempt)
   | Beat { index } -> (2, index, 0)
+  | Bye { attempt } -> (3, attempt, 0)
 
 (* An independent generator per message identity. [Prng.stream] hashes
    (seed, index) without consuming shared state, so verdicts commute —

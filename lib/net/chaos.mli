@@ -4,7 +4,7 @@
     Verdicts are {e content-keyed}: the fate of a transmission is a pure
     function of [(seed, src, dst, kind, key)], where the key names the
     message identity — [(seq, attempt)] for data and acks, the beat index
-    for heartbeats. A real fleet's event order wobbles with OS
+    for heartbeats, the copy number for byes. A real fleet's event order wobbles with OS
     scheduling; consuming a shared coin stream per decision (the
     simulator's approach) would therefore diverge between executions,
     while hashing the identity makes the same message meet the same fate
@@ -18,6 +18,8 @@ type kind =
           them *)
   | Ack of { seq : int; attempt : int }
   | Beat of { index : int }
+  | Bye of { attempt : int }
+      (** one copy of a clean-exit notice; each copy draws its own fate *)
 
 type plan = {
   drop_bp : int;  (** loss probability, basis points *)

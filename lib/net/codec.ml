@@ -97,12 +97,14 @@ let decode_rmsg dec s =
    restarting at 0 in every incarnation); the receiver namespaces them by
    the sender's incarnation before handing them to its own Link, and an
    ack carries the incarnation it targets so a respawned sender can
-   discard acks meant for its dead predecessor. *)
+   discard acks meant for its dead predecessor. A bye says that incarnation
+   [inc] of [src] exited cleanly. *)
 
 type peer_msg =
   | P_data of { src : int; inc : int; seq : int; ord : Ck.ord }
   | P_ack of { src : int; inc : int; target_inc : int; seq : int }
   | P_beat of { src : int; inc : int }
+  | P_bye of { src : int; inc : int }
 
 let put_peer b = function
   | P_data { src; inc; seq; ord } ->
@@ -119,6 +121,10 @@ let put_peer b = function
       Wire.put_int b seq
   | P_beat { src; inc } ->
       Wire.put_u8 b 3;
+      Wire.put_int b src;
+      Wire.put_int b inc
+  | P_bye { src; inc } ->
+      Wire.put_u8 b 4;
       Wire.put_int b src;
       Wire.put_int b inc
 
@@ -140,6 +146,10 @@ let get_peer r =
       let src = Wire.get_int r "peer.beat.src" in
       let inc = Wire.get_int r "peer.beat.inc" in
       P_beat { src; inc }
+  | 4 ->
+      let src = Wire.get_int r "peer.bye.src" in
+      let inc = Wire.get_int r "peer.bye.inc" in
+      P_bye { src; inc }
   | t -> raise (Wire.Decode (Printf.sprintf "peer: unknown tag %d" t))
 
 let encode_peer = to_string put_peer

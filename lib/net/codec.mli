@@ -24,11 +24,13 @@ type peer_msg =
   | P_data of { src : int; inc : int; seq : int; ord : Doall.Ckpt_script.ord }
   | P_ack of { src : int; inc : int; target_inc : int; seq : int }
   | P_beat of { src : int; inc : int }
+  | P_bye of { src : int; inc : int }
       (** The async deployment mode's datagram envelope around
-          [Asim.Link]'s wire alphabet. [seq] is raw (restarts at 0 each
-          incarnation); the receiver namespaces it by [inc], and an ack
-          names the incarnation it targets so a respawned sender discards
-          acks meant for its dead predecessor. *)
+          [Asim.Link]'s wire alphabet, plus [P_bye], the clean-exit notice
+          a terminating node sends its peers. [seq] is raw (restarts at 0
+          each incarnation); the receiver namespaces it by [inc], and an
+          ack names the incarnation it targets so a respawned sender
+          discards acks meant for its dead predecessor. *)
 
 val encode_peer : peer_msg -> string
 val decode_peer : string -> peer_msg

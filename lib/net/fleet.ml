@@ -27,8 +27,8 @@ type config = {
   max_ticks : int;
 }
 
-let config ?(tick_ms = 5) ?(watchdog_s = 90.) ?(max_ticks = 20_000) ~dir
-    ~node_exe ~spec ~sched () =
+let config ?(tick_ms = Async_node.default_tick_ms) ?(watchdog_s = 90.)
+    ?(max_ticks = 20_000) ~dir ~node_exe ~spec ~sched () =
   if tick_ms < 1 then invalid_arg "Fleet.config: tick_ms < 1";
   { dir; node_exe; spec; sched; tick_ms; watchdog_s; max_ticks }
 
@@ -69,6 +69,10 @@ type child = {
   mutable exit_code : int option;  (* last exit status observed *)
   mutable killed : bool;  (* SIGKILLed by the schedule, not yet respawned *)
 }
+
+(* How often the runner looks for exited children between scheduled kills
+   and restarts. *)
+let reap_poll_s = 0.001
 
 let spawn cfg ~pid ~inc ~recover ~epoch_ms =
   let log =
@@ -224,6 +228,8 @@ let run cfg =
   let n_kills = List.length !kills and n_restarts = List.length !restarts in
   let watchdog_fired = ref false in
   let deadline = Unix.gettimeofday () +. cfg.watchdog_s in
+  (* the incarnation each kill, as (tick, victim), was aimed at *)
+  let kill_incs = ref [] in
   let reap () =
     Array.iter
       (fun c ->
@@ -246,11 +252,12 @@ let run cfg =
     let due, later = List.partition (fun (at, _) -> at <= now) !kills in
     kills := later;
     List.iter
-      (fun (_, victim) ->
+      (fun ((_, victim) as kill) ->
         let c = children.(victim) in
         (match c.os_pid with
         | Some os -> ( try Unix.kill os Sys.sigkill with Unix.Unix_error _ -> ())
         | None -> ());
+        kill_incs := (kill, c.inc) :: !kill_incs;
         c.killed <- true)
       due;
     let due, later = List.partition (fun (at, _) -> at <= now) !restarts in
@@ -277,6 +284,15 @@ let run cfg =
     !kills = [] && !restarts = []
     && Array.for_all (fun c -> c.os_pid = None) children
   in
+  (* sleep to the start of the next scheduled kill or restart tick, but
+     look for exited children every [reap_poll_s] *)
+  let sleep_s () =
+    let first = function (at, _) :: _ -> at | [] -> max_int in
+    let next = min (first !kills) (first !restarts) in
+    let until_ms = epoch_ms +. (float_of_int next *. float_of_int cfg.tick_ms) in
+    Float.min reap_poll_s
+      (Float.max 0. ((until_ms -. (Unix.gettimeofday () *. 1000.0)) /. 1000.))
+  in
   let rec drive () =
     reap ();
     enforce (tick_of_wall ());
@@ -292,7 +308,7 @@ let run cfg =
       reap ()
     end
     else begin
-      (try ignore (Unix.select [] [] [] 0.01) with Unix.Unix_error _ -> ());
+      (try ignore (Unix.select [] [] [] (sleep_s ())) with Unix.Unix_error _ -> ());
       drive ()
     end
   in
@@ -351,18 +367,32 @@ let run cfg =
      plus slack before completeness is demanded of it. *)
   let end_tick = tick_of_wall () in
   let min_window = 240 in
+  (* A kill that finds its victim exited 0, or exiting, is excused: a
+     survivor that heard the bye of the incarnation it hit stopped
+     monitoring it, and owes no suspicion. *)
+  let said_bye victim inc =
+    List.exists
+      (fun (s : Sf.span) ->
+        s.Sf.name = "bye" && s.Sf.pid <> victim
+        && List.assoc_opt "peer" s.Sf.args = Some (Dhw_util.Jsonw.Int victim)
+        && List.assoc_opt "inc" s.Sf.args = Some (Dhw_util.Jsonw.Int inc))
+      spans
+  in
   let kill_windows =
-    List.map
+    List.filter_map
       (fun (k : C.Async.crash) ->
+        let victim = k.C.Async.victim and at = k.C.Async.at in
         let until =
           List.fold_left
             (fun acc (r : C.Async.crash) ->
-              if r.C.Async.victim = k.C.Async.victim && r.C.Async.at > k.C.Async.at
-              then min acc r.C.Async.at
+              if r.C.Async.victim = victim && r.C.Async.at > at then
+                min acc r.C.Async.at
               else acc)
             end_tick cfg.sched.C.Async.restarts
         in
-        (k.C.Async.victim, k.C.Async.at, until, min_window))
+        match List.assoc_opt (at, victim) !kill_incs with
+        | Some inc when said_bye victim inc -> None
+        | _ -> Some (victim, at, until, min_window))
       cfg.sched.C.Async.crashes
   in
   let units_covered, max_multiplicity, total_work, detector_complete =

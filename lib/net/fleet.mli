@@ -33,7 +33,8 @@ val config :
   sched:Simkit.Campaign.Async.t ->
   unit ->
   config
-(** Defaults: tick 5 ms, watchdog 90 s, max_ticks 20_000. *)
+(** Defaults: tick [Async_node.default_tick_ms], watchdog 90 s, max_ticks
+    20_000. *)
 
 type node_report = {
   nr_pid : int;
@@ -49,7 +50,9 @@ type report = {
   no_lost_unit : bool;  (** every unit in [0,n) performed by someone *)
   detector_complete : bool;
       (** every kill window long enough for the timeout to fire produced a
-          suspicion of the victim by a survivor *)
+          suspicion of the victim by a survivor; a kill is excused when a
+          survivor heard the bye of the incarnation it hit, since that
+          incarnation had already exited 0 (or was exiting) *)
   bounded_dup : bool;  (** max multiplicity <= t + restarts *)
   units_covered : int;
   max_multiplicity : int;
@@ -72,4 +75,7 @@ val counter : (string * int) list -> string -> int
 val run : config -> report
 (** Execute the fleet to quiescence (all expected nodes exited, or
     watchdog). Blocking; uses SIGKILL, [waitpid] and the filesystem under
-    [config.dir] only. *)
+    [config.dir] only. The runner sleeps to the start of the tick of the
+    next scheduled kill or restart, and polls for exited children every
+    millisecond, so a kill lands at its tick and collection starts within
+    a millisecond of the last exit. *)

@@ -666,6 +666,72 @@ let test_link_unbounded_retries_stall () =
   Alcotest.(check int) "nothing abandoned" 0 stats.L.abandoned;
   Alcotest.(check bool) "kept retransmitting" true (stats.L.retransmits > 3)
 
+(* A peer that comes back as a new incarnation was really down: the
+   suspicion of it was correct. The real fleet tells the link so through
+   [Link.rejoin] before it delivers the newcomer's first datagram, and
+   the detector must then count an un-suspect but no false suspicion, and
+   monitor the newcomer with the initial timeout. Delivering the same
+   datagram without the rejoin shows the evidence path it replaces: a
+   false suspicion and a doubled timeout. *)
+let test_link_rejoin_is_not_false_suspicion () =
+  let hb = H.config ~period:4 ~timeout:12 ~backoff:2 () in
+  let silent = unit_proc (fun _ _ () _ -> outcome ()) in
+  let suspected_at ~rejoin =
+    let stats = L.stats () in
+    let eng = Eng.create (L.harden ~heartbeat:hb ~stats ~n:2 silent) ~pid:0 in
+    ignore (Eng.start eng ~now:0);
+    ignore (Eng.advance eng ~now:12);
+    Alcotest.(check (list int)) "silent peer suspected" [ 1 ]
+      (L.suspects (Eng.state eng));
+    if rejoin then Eng.map_state eng (fun st -> L.rejoin ~stats st 1 ~now:13);
+    ignore (Eng.deliver eng ~now:13 ~src:1 L.Beat);
+    Alcotest.(check (list int)) "trusted again" [] (L.suspects (Eng.state eng));
+    (* silence from tick 13 on: the first tick at which it is suspected
+       again is 13 + its current timeout *)
+    let rec first now =
+      ignore (Eng.advance eng ~now);
+      if L.suspects (Eng.state eng) = [ 1 ] then now else first (now + 1)
+    in
+    (stats, first 14)
+  in
+  let stats, at = suspected_at ~rejoin:true in
+  Alcotest.(check int) "rejoin: no false suspicion" 0 stats.L.false_suspicions;
+  Alcotest.(check int) "rejoin: one un-suspect" 1 stats.L.unsuspects;
+  Alcotest.(check int) "rejoin: initial timeout" (13 + 12) at;
+  let stats, at = suspected_at ~rejoin:false in
+  Alcotest.(check int) "evidence: a false suspicion" 1 stats.L.false_suspicions;
+  Alcotest.(check int) "evidence: one un-suspect" 1 stats.L.unsuspects;
+  Alcotest.(check int) "evidence: doubled timeout" (13 + 24) at
+
+(* A clean exit reaches a draining sender as a retirement notice (the
+   real fleet's bye): the packet pending to the departed peer is dropped,
+   the sender terminates at once, and it retransmits nothing more. *)
+let test_link_drain_ends_on_notice () =
+  let proc =
+    unit_proc (fun _ _ () ev ->
+        match ev with
+        | E.Started -> outcome ~sends:[ (1, "final") ] ~terminate:true ()
+        | _ -> outcome ())
+  in
+  let stats = L.stats () in
+  let hardened =
+    L.harden ~config:(L.config ~rto:4 ())
+      ~heartbeat:(H.config ~period:4 ~timeout:1000 ())
+      ~stats ~n:2 proc
+  in
+  let eng = Eng.create hardened ~pid:0 in
+  let fx = Eng.start eng ~now:0 in
+  Alcotest.(check bool) "draining, not terminated" false fx.Eng.terminated;
+  Alcotest.(check int) "one packet pending" 1 (L.in_flight (Eng.state eng));
+  ignore (Eng.advance eng ~now:4);
+  Alcotest.(check int) "unacked packet retransmitted" 1 stats.L.retransmits;
+  let fx = Eng.notice eng ~now:5 1 in
+  Alcotest.(check bool) "terminates on the notice" true fx.Eng.terminated;
+  Alcotest.(check int) "nothing pending" 0 (L.in_flight (Eng.state eng));
+  let fx = Eng.advance eng ~now:1000 in
+  Alcotest.(check bool) "no sends afterwards" true (fx.Eng.sends = []);
+  Alcotest.(check int) "no further retransmissions" 1 stats.L.retransmits
+
 (* --- hardened async Protocol A: the acceptance criterion --- *)
 
 let test_hardened_a_lossy_campaign () =
@@ -846,6 +912,10 @@ let suite =
       `Quick test_link_max_retries_exhaust;
     Alcotest.test_case "harden: unbounded retries stall without a bound"
       `Quick test_link_unbounded_retries_stall;
+    Alcotest.test_case "harden: a rejoin is not a false suspicion" `Quick
+      test_link_rejoin_is_not_false_suspicion;
+    Alcotest.test_case "harden: a draining sender ends on a notice" `Quick
+      test_link_drain_ends_on_notice;
     Alcotest.test_case "hardened A: lossy campaign completes (acceptance)"
       `Quick test_hardened_a_lossy_campaign;
     Alcotest.test_case "hardened A: loss costs overhead, not units" `Quick

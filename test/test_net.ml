@@ -384,6 +384,8 @@ let test_peer_codec_roundtrip () =
       Net.Codec.P_data { src = 0; inc = 0; seq = 0; ord = Ck.Partial 9 };
       Net.Codec.P_ack { src = 1; inc = 2; target_inc = 0; seq = 999_983 };
       Net.Codec.P_beat { src = 2; inc = 5 };
+      Net.Codec.P_bye { src = 0; inc = 0 };
+      Net.Codec.P_bye { src = 1; inc = 4 };
     ];
   match Net.Codec.decode_peer "garbage" with
   | exception W.Decode _ -> ()
@@ -461,6 +463,66 @@ let test_chaos_content_keyed () =
     true
     (!dropped > 200 && !dropped < 400)
 
+(* A bye's copies are told apart by their attempt number alone, so its
+   fate must be a pure function of that content, and the copies must not
+   share one fate: otherwise a seed that drops one copy drops them all. *)
+let test_chaos_bye_attempts () =
+  let judge seed attempt =
+    let plan =
+      { Net.Chaos.none with drop_bp = 3000; max_delay = 5; seed = Int64.of_int seed }
+    in
+    (Net.Chaos.judge plan ~src:1 ~dst:0 ~kind:(Net.Chaos.Bye { attempt })
+       ~now:50 ())
+      .Net.Chaos.release_at
+  in
+  Alcotest.(check (list int)) "verdict is pure" (judge 1 0) (judge 1 0);
+  let differs = ref false and all_lost = ref 0 in
+  for seed = 0 to 199 do
+    if judge seed 0 <> judge seed 1 then differs := true;
+    if List.for_all (fun a -> judge seed a = []) [ 0; 1; 2 ] then incr all_lost
+  done;
+  Alcotest.(check bool) "attempts draw fresh fates" true !differs;
+  (* three copies at 30% loss: all lost for ~2.7% of seeds, not ~30% *)
+  Alcotest.(check bool)
+    (Printf.sprintf "three copies rarely all lost (%d/200)" !all_lost)
+    true (!all_lost < 20)
+
+(* The node's sleep to the start of its next deadline tick, as a law:
+   never negative, never above the 50 ms cap, and exactly the time left
+   to the tick's start whenever that is under the cap. *)
+let prop_boundary_sleep =
+  let gen =
+    Gen.(
+      tup4 (0 -- 1_000_000) (1 -- 20) (0 -- 100_000) (float_range (-200.) 200.))
+  in
+  Helpers.qcheck_case ~count:500 ~name:"node: boundary sleep law" gen
+    (fun (epoch, tick_ms, deadline, before_ms) ->
+      let epoch_ms = 1.7e12 +. float_of_int epoch in
+      let start_ms = epoch_ms +. (float_of_int deadline *. float_of_int tick_ms) in
+      let now_ms = start_ms -. before_ms in
+      let s =
+        Net.Async_node.boundary_sleep_s ~epoch_ms ~tick_ms ~now_ms ~deadline
+      in
+      let left = (start_ms -. now_ms) /. 1000. in
+      if s < 0. || s > 0.05 then
+        QCheck2.Test.fail_reportf "sleep %g s outside [0, 0.05]" s
+      else if left >= 0. && left < 0.05 && Float.abs (s -. left) > 1e-6 then
+        QCheck2.Test.fail_reportf "sleep %g s, but the tick starts in %g s" s
+          left
+      else true)
+
+let test_boundary_sleep_edges () =
+  let sleep ~now_ms ~deadline =
+    Net.Async_node.boundary_sleep_s ~epoch_ms:1000. ~tick_ms:5 ~now_ms ~deadline
+  in
+  Alcotest.(check (float 1e-9)) "nothing scheduled: the cap" 0.05
+    (sleep ~now_ms:1000. ~deadline:max_int);
+  Alcotest.(check (float 1e-9)) "a passed boundary: no sleep" 0.
+    (sleep ~now_ms:1100. ~deadline:3);
+  (* woken 3 ms into tick 2, the wait for tick 3 is 2 ms, not a whole tick *)
+  Alcotest.(check (float 1e-9)) "to the boundary, not a tick from now" 0.002
+    (sleep ~now_ms:1013. ~deadline:3)
+
 let test_chaos_sever_window () =
   let k = Net.Chaos.Beat { index = 4 } in
   let plan = { Net.Chaos.none with severs = [ (0, 1, 10, 20) ] } in
@@ -473,6 +535,103 @@ let test_chaos_sever_window () =
   Alcotest.(check bool) "after the window" false (cut ~src:0 ~dst:1 21);
   (* severs are directed: the reverse link stays up *)
   Alcotest.(check bool) "reverse direction up" false (cut ~src:1 ~dst:0 15)
+
+(* ------------------------------------------------------------------ *)
+(* The real fleet's end of run *)
+
+let node_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/dhw_node.exe"; "_build/default/bin/dhw_node.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "dhw_node.exe not found (run under dune)"
+
+(* A run ends within a few ticks of its last unit of work: a node that
+   exits cleanly says bye, so no peer waits out a heartbeat timeout on it,
+   and a respawn is a rejoin, not a false suspicion. The kill window
+   (ticks 3 to 75) outlasts the 60-tick heartbeat timeout, so the
+   survivors really suspect the victim before it comes back, and the
+   respawn lands well before pid 0 finishes its 100 units. Chaos seed 1
+   drops none of the final checkpoints, so the spread of the exits
+   measures the end-of-run handshake alone; waiting out a heartbeat
+   timeout on a departed peer spreads them over ~115 ticks. *)
+let test_fleet_end_of_run () =
+  with_tmpdir (fun dir ->
+      let module CA = Simkit.Campaign.Async in
+      let n = 100 and t = 3 in
+      let sched =
+        CA.make
+          ~meta:
+            [ ("protocol", "async-a"); ("n", string_of_int n);
+              ("t", string_of_int t) ]
+          ~crashes:[ { CA.victim = 1; at = 3 } ]
+          ~restarts:[ { CA.victim = 1; at = 75 } ]
+          ~drop_bp:1000 ~seed:1L ()
+      in
+      let cfg =
+        Net.Fleet.config ~watchdog_s:60. ~dir ~node_exe:(node_exe ())
+          ~spec:(Doall.Spec.make ~n ~t) ~sched ()
+      in
+      let r = Net.Fleet.run cfg in
+      Alcotest.(check bool) "no watchdog" false r.Net.Fleet.watchdog_fired;
+      Alcotest.(check (list bool)) "all four oracles pass"
+        [ true; true; true; true ]
+        Net.Fleet.
+          [ r.completed; r.no_lost_unit; r.detector_complete; r.bounded_dup ];
+      Alcotest.(check int) "work = n" n r.Net.Fleet.total_work;
+      let terms =
+        List.filter_map
+          (fun (s : Dhw_util.Spanfile.span) ->
+            if s.Dhw_util.Spanfile.name = "term" then
+              Some s.Dhw_util.Spanfile.round
+            else None)
+          r.Net.Fleet.spans
+      in
+      Alcotest.(check int) "one clean exit per pid" t (List.length terms);
+      let first = List.fold_left min max_int terms
+      and last = List.fold_left max 0 terms in
+      Alcotest.(check bool)
+        (Printf.sprintf "last exit within 10 ticks of the first (%d..%d)" first
+           last)
+        true
+        (last - first <= 10);
+      let false_suspicions =
+        List.fold_left
+          (fun a nr ->
+            a + Net.Fleet.counter nr.Net.Fleet.nr_counters "false_suspicions")
+          0 r.Net.Fleet.nodes
+      in
+      Alcotest.(check int) "no false suspicions" 0 false_suspicions)
+
+(* A kill that lands on a node that has already exited 0 owes no
+   suspicion: the node said bye, so its peers stopped monitoring it. Here
+   pid 2 exits at ~tick 110 with the rest of the fleet, is "killed" at 130
+   and respawned at 380, so the kill window outlasts the 240 ticks after
+   which completeness is demanded, and no survivor is left to suspect it.
+   The respawn reads an all-done checkpoint and exits at once. *)
+let test_fleet_kill_after_clean_exit () =
+  with_tmpdir (fun dir ->
+      let module CA = Simkit.Campaign.Async in
+      let n = 100 and t = 3 in
+      let sched =
+        CA.make
+          ~meta:
+            [ ("protocol", "async-a"); ("n", string_of_int n);
+              ("t", string_of_int t) ]
+          ~crashes:[ { CA.victim = 2; at = 130 } ]
+          ~restarts:[ { CA.victim = 2; at = 380 } ]
+          ~drop_bp:1000 ~seed:1L ()
+      in
+      let cfg =
+        Net.Fleet.config ~watchdog_s:60. ~dir ~node_exe:(node_exe ())
+          ~spec:(Doall.Spec.make ~n ~t) ~sched ()
+      in
+      let r = Net.Fleet.run cfg in
+      Alcotest.(check bool) "detector complete" true
+        r.Net.Fleet.detector_complete;
+      Alcotest.(check bool) "all oracles pass" true r.Net.Fleet.ok;
+      Alcotest.(check int) "work = n" n r.Net.Fleet.total_work)
 
 (* ------------------------------------------------------------------ *)
 
@@ -514,4 +673,13 @@ let suite =
       test_chaos_content_keyed;
     Alcotest.test_case "chaos: severs are directed deterministic windows"
       `Quick test_chaos_sever_window;
+    Alcotest.test_case "chaos: bye copies draw their own fates" `Quick
+      test_chaos_bye_attempts;
+    prop_boundary_sleep;
+    Alcotest.test_case "node: boundary sleep edges" `Quick
+      test_boundary_sleep_edges;
+    Alcotest.test_case "fleet: a run ends when its work ends" `Quick
+      test_fleet_end_of_run;
+    Alcotest.test_case "fleet: a kill after a clean exit owes no suspicion"
+      `Quick test_fleet_kill_after_clean_exit;
   ]
