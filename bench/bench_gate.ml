@@ -1,63 +1,62 @@
-(* The perf-regression gate: structural diff of a freshly generated
-   dhw-bench document against the committed BENCH_results.json snapshot.
+(* The bench gate: an exact-cell diff of freshly regenerated E-tables
+   against the committed BENCH_results.json snapshot.
 
-   Timings and measured counts drift run to run — the *shape* must not:
-   the schema id, each table's column set, and each table's row keys
-   (first-column values) are contracts consumed by downstream tooling.
-   The fresh document must carry at least one table. A fresh table must
-   exist in the reference, carry exactly the same columns, and its row
-   keys must appear in the reference in order (a subsequence, because
-   smoke runs truncate sweeps: jobs 1-2 of 1-8, n<=10^6 of a 10^7 sweep).
-   Anything else is schema drift and fails the build. *)
+   The tables are the paper's bounds on work, messages and rounds made
+   executable, so every computed cell is a claim. Both documents must carry
+   the current schema id. Each fresh table must exist in the reference with
+   the same headers, the same row keys (first-column values) in the same
+   order, and equal cells outside the measured columns in [exempt]. Every
+   reference table must be regenerated, except the [ungated] ones. Titles
+   are prose (E19's embeds the host's core count) and are not compared. *)
 
 module J = Dhw_util.Jsonw
 
-let expected_schema = "dhw-bench/v2"
+let schema = "dhw-bench/v3"
 
-type table_shape = { id : string; headers : string list; keys : string list }
+(* Measured, not computed: wall clock, throughput and minor-heap words vary
+   from run to run and host to host. *)
+let exempt =
+  [
+    ("E19", "wall s"); ("E19", "exec/s"); ("E19", "speedup");
+    ("E23", "minor words"); ("E23", "words/round");
+    ("E23", "words/round traced");
+  ]
 
-let shapes_of doc =
-  match J.member "tables" doc with
-  | Some (J.Arr ts) ->
+(* Reference tables the gate does not regenerate. E24 runs a real async
+   fleet for ~9 s, and its work and oracle verdicts are already asserted by
+   the fleet cases of test/test_net.ml. E25 takes ~15 s, and its
+   correctness and budgets belong to @scale-smoke. *)
+let ungated = [ "E24"; "E25" ]
+
+let document tables =
+  J.Obj
+    [
+      ("schema", J.Str schema);
+      ( "tables",
+        J.Arr (List.map (fun (id, t) -> Dhw_util.Table.to_json ~id t) tables) );
+    ]
+
+type table = { id : string; headers : string list; rows : string list list }
+
+let strings = function J.Arr xs -> List.filter_map J.to_str xs | _ -> []
+let field k j = Option.value (J.member k j) ~default:J.Null
+
+let tables_of doc =
+  match field "tables" doc with
+  | J.Arr ts ->
       List.filter_map
         (fun t ->
-          match Option.bind (J.member "id" t) J.to_str with
+          match J.to_str (field "id" t) with
           | None -> None
           | Some id ->
-              let headers =
-                match J.member "headers" t with
-                | Some (J.Arr hs) -> List.filter_map J.to_str hs
+              let rows =
+                match field "rows" t with
+                | J.Arr rows -> List.map strings rows
                 | _ -> []
               in
-              let keys =
-                match J.member "rows" t with
-                | Some (J.Arr rows) ->
-                    List.filter_map
-                      (function
-                        | J.Arr (c0 :: _) -> J.to_str c0 | _ -> None)
-                      rows
-                | _ -> []
-              in
-              Some { id; headers; keys })
+              Some { id; headers = strings (field "headers" t); rows })
         ts
   | _ -> []
-
-(* Row labels embed numeric parameters that smoke runs legitimately shrink
-   ("sync A, 30-schedule storm" vs the reference's 250) — strip digit runs
-   before comparing so only the label structure is load-bearing. *)
-let normalize_key s =
-  String.init (String.length s) (fun i ->
-      match s.[i] with '0' .. '9' -> '#' | c -> c)
-  |> String.split_on_char '#'
-  |> List.filter (fun part -> part <> "")
-  |> String.concat ""
-
-let rec is_subseq xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs', y :: ys' ->
-      if String.equal x y then is_subseq xs' ys' else is_subseq xs ys'
 
 let load path =
   match
@@ -73,52 +72,93 @@ let load path =
       | Ok doc -> Ok doc
       | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e))
 
-let check ~ref_doc ~new_doc =
-  let violations = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let schema_of doc = Option.bind (J.member "schema" doc) J.to_str in
-  (match schema_of new_doc with
-  | Some s when s = expected_schema -> ()
-  | Some s -> add "fresh document schema %S, expected %S" s expected_schema
-  | None -> add "fresh document has no schema id");
-  (match schema_of ref_doc with
-  | Some s when s = expected_schema -> ()
-  | Some s -> add "reference schema %S, expected %S" s expected_schema
-  | None -> add "reference has no schema id");
-  let ref_shapes = shapes_of ref_doc in
-  let new_shapes = shapes_of new_doc in
-  if new_shapes = [] then add "fresh document has no tables";
-  List.iter
-    (fun nt ->
-      match List.find_opt (fun rt -> rt.id = nt.id) ref_shapes with
-      | None -> add "table %s missing from reference" nt.id
-      | Some rt ->
-          if nt.headers <> rt.headers then
-            add "table %s columns changed: [%s] vs reference [%s]" nt.id
-              (String.concat "; " nt.headers)
-              (String.concat "; " rt.headers);
-          if
-            not
-              (is_subseq
-                 (List.map normalize_key nt.keys)
-                 (List.map normalize_key rt.keys))
-          then
-            add "table %s row keys are not a subsequence of the reference"
-              nt.id)
-    new_shapes;
-  List.rev !violations
+let key = function k :: _ -> k | [] -> ""
 
-(* Exit status: 0 = shapes match, 1 = drift, 2 = unreadable inputs. *)
-let run ~ref_path ~new_path =
-  match (load ref_path, load new_path) with
-  | Error e, _ | _, Error e ->
+(* The first difference between a fresh table and its reference, if any. *)
+let diff ~(ref_t : table) (t : table) =
+  let rec rows i fresh refs =
+    match (fresh, refs) with
+    | [], [] -> None
+    | r :: _, [] -> Some (Printf.sprintf "table %s: extra row %d %S" t.id i (key r))
+    | [], r :: _ ->
+        Some (Printf.sprintf "table %s: missing row %d %S" t.id i (key r))
+    | f :: _, r :: _ when key f <> key r ->
+        Some
+          (Printf.sprintf "table %s row %d: key %S, reference %S" t.id i (key f)
+             (key r))
+    | f :: fresh, r :: refs -> (
+        match cells i (key f) t.headers f r with
+        | None -> rows (i + 1) fresh refs
+        | d -> d)
+  and cells i k headers f r =
+    match (headers, f, r) with
+    | [], [], [] -> None
+    | h :: hs, a :: f, b :: r ->
+        if a = b || List.mem (t.id, h) exempt then cells i k hs f r
+        else
+          Some
+            (Printf.sprintf "table %s row %d %S column %S: %S, reference %S"
+               t.id i k h a b)
+    | _ ->
+        Some
+          (Printf.sprintf "table %s row %d %S: %d cells, reference %d" t.id i k
+             (List.length f) (List.length r))
+  in
+  if t.headers <> ref_t.headers then
+    Some
+      (Printf.sprintf "table %s columns changed: [%s] vs reference [%s]" t.id
+         (String.concat "; " t.headers)
+         (String.concat "; " ref_t.headers))
+  else rows 0 t.rows ref_t.rows
+
+(* Every violation, at most one per table; [] = the gate passes. *)
+let check ~ref_doc ~fresh_doc =
+  let schema_violation what doc =
+    match J.to_str (field "schema" doc) with
+    | Some s when s = schema -> None
+    | Some s -> Some (Printf.sprintf "%s schema %S, expected %S" what s schema)
+    | None -> Some (Printf.sprintf "%s has no schema id" what)
+  in
+  let schemas =
+    List.filter_map Fun.id
+      [
+        schema_violation "fresh document" fresh_doc;
+        schema_violation "reference" ref_doc;
+      ]
+  in
+  let refs = tables_of ref_doc and fresh = tables_of fresh_doc in
+  if fresh = [] then schemas @ [ "fresh document has no tables" ]
+  else
+    let fresh_diffs =
+      List.filter_map
+        (fun t ->
+          match List.find_opt (fun r -> r.id = t.id) refs with
+          | None -> Some (Printf.sprintf "table %s missing from reference" t.id)
+          | Some ref_t -> diff ~ref_t t)
+        fresh
+    in
+    let unregenerated =
+      List.filter_map
+        (fun r ->
+          if List.mem r.id ungated || List.exists (fun t -> t.id = r.id) fresh
+          then None
+          else Some (Printf.sprintf "table %s missing from the fresh run" r.id))
+        refs
+    in
+    schemas @ fresh_diffs @ unregenerated
+
+(* Read the reference, then regenerate the tables and compare. Exit status:
+   0 = every gated cell matches, 1 = a difference, 2 = unreadable
+   reference. *)
+let run ~ref_path ~regenerate =
+  match load ref_path with
+  | Error e ->
       Printf.eprintf "bench gate: %s\n" e;
       2
-  | Ok ref_doc, Ok new_doc -> (
-      match check ~ref_doc ~new_doc with
+  | Ok ref_doc -> (
+      match check ~ref_doc ~fresh_doc:(document (regenerate ())) with
       | [] ->
-          Printf.printf "bench gate: %s structurally matches %s\n" new_path
-            ref_path;
+          Printf.printf "bench gate: every gated cell matches %s\n" ref_path;
           0
       | vs ->
           List.iter (fun v -> Printf.eprintf "bench gate: %s\n" v) vs;

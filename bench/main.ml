@@ -1,88 +1,70 @@
 (* Benchmark harness: regenerates every evaluation claim of the paper
-   (experiments E1-E25, DESIGN.md section 3) and times representative runs
-   with Bechamel.
+   (experiments E1-E25, DESIGN.md section 3) as tables.
 
-     dune exec bench/main.exe                        # all tables + timings
-     dune exec bench/main.exe -- tables              # logical-cost tables only
-     dune exec bench/main.exe -- timing              # Bechamel only
-     dune exec bench/main.exe -- smoke               # tiny E19 only (@ci)
-     dune exec bench/main.exe -- --scale             # E25 scale sweep to n=10^7
-     dune exec bench/main.exe -- scale-smoke         # E25 to n=10^6 + budgets (@ci)
-     dune exec bench/main.exe -- gate REF NEW        # structural diff vs snapshot
-     dune exec bench/main.exe -- --json BENCH_results.json
-                                  # also write the dhw-bench/v2 document
+     dune exec bench/main.exe                    # E1-E25 (the tables mode)
+     dune exec bench/main.exe -- scale           # E25 scale sweep to n=10^7
+     dune exec bench/main.exe -- scale-smoke     # E25 to n=10^6 + budgets (@ci)
+     dune exec bench/main.exe -- gate REF        # E1-E23 vs REF, cell for cell
+     dune exec bench/main.exe -- tables --json BENCH_results.json
+                                 # also write the dhw-bench/v3 document
 
-   Schema note: dhw-bench/v2 = v1 plus the E25 scale table; documents are
-   otherwise shape-identical, so v1 consumers only need the id bump. *)
+   E21 and E24 run real dhw_node processes; without bin/dhw_node.exe
+   (dune build @all) their rows read "skipped". Wall-clock timing is
+   perfbench/'s job.
 
-module J = Dhw_util.Jsonw
-
-let timing_json (t : Bench_timing.timing) =
-  J.Obj
-    [
-      ("benchmark", J.Str t.Bench_timing.benchmark);
-      ("ns_per_run", J.Float t.Bench_timing.ns_per_run);
-      ( "r_square",
-        match t.Bench_timing.r_square with Some r -> J.Float r | None -> J.Null );
-    ]
-
-let modes = [ "all"; "tables"; "timing"; "smoke"; "scale"; "scale-smoke" ]
+   Schema note: dhw-bench/v3 is v2 without the "timings" array (Bechamel
+   wall-clock entries, no longer produced); v2 was v1 plus the E25 table.
+   The tables are otherwise shape-identical, so a v2 consumer needs only the
+   id bump and to stop reading "timings". *)
 
 let usage =
-  "usage: main.exe [all|tables|timing|smoke|scale|scale-smoke] [--json [PATH]]\n\
-  \       main.exe gate REF NEW"
+  "usage: main.exe [tables|scale|scale-smoke] [--json [PATH]]\n\
+  \       main.exe gate REF"
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "gate" :: ref_path :: new_path :: [] ->
-      exit (Bench_gate.run ~ref_path ~new_path)
-  | _ :: args ->
-      let rec parse what json = function
-        | [] -> (what, json)
-        | [ "--json" ] -> (what, Some "BENCH_results.json")
-        | "--json" :: path :: rest -> parse what (Some path) rest
-        | "--scale" :: rest -> parse "scale" json rest
-        | "--scale-smoke" :: rest -> parse "scale-smoke" json rest
-        | w :: rest -> parse w json rest
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "gate"; ref_path ] ->
+      exit
+        (Bench_gate.run ~ref_path ~regenerate:(fun () ->
+             Bench_tables.echo := false;
+             Bench_tables.gated ();
+             Bench_tables.tables ()))
+  | args ->
+      let mode, rest =
+        match args with
+        | (("tables" | "scale" | "scale-smoke") as mode) :: rest -> (mode, rest)
+        | rest -> ("tables", rest)
       in
-      let what, json = parse "all" None args in
-      if not (List.mem what modes) then begin
-        prerr_endline usage;
-        exit 2
-      end;
-      let violations = ref [] in
-      (match what with
-      | "smoke" -> Bench_tables.smoke ()
-      | "scale" -> Bench_tables.scale ()
-      | "scale-smoke" -> violations := Bench_tables.scale_smoke ()
-      | "all" | "tables" -> Bench_tables.all ()
-      | _ -> ());
-      let timings =
-        if what = "all" || what = "timing" then Bench_timing.run () else []
+      let json =
+        match rest with
+        | [] -> None
+        | [ "--json" ] -> Some "BENCH_results.json"
+        | [ "--json"; path ] -> Some path
+        | _ ->
+            prerr_endline usage;
+            exit 2
       in
-      (match json with
-      | None -> ()
-      | Some path ->
-          let doc =
-            J.Obj
-              [
-                ("schema", J.Str "dhw-bench/v2");
-                ( "tables",
-                  J.Arr
-                    (List.map
-                       (fun (id, tbl) -> Dhw_util.Table.to_json ~id tbl)
-                       (Bench_tables.tables ())) );
-                ("timings", J.Arr (List.map timing_json timings));
-              ]
-          in
+      let violations =
+        match mode with
+        | "scale" ->
+            Bench_tables.scale ();
+            []
+        | "scale-smoke" -> Bench_tables.scale_smoke ()
+        | _ ->
+            Bench_tables.all ();
+            []
+      in
+      Option.iter
+        (fun path ->
           let oc = open_out path in
-          output_string oc (J.pretty doc);
+          output_string oc
+            (Dhw_util.Jsonw.pretty (Bench_gate.document (Bench_tables.tables ())));
           output_char oc '\n';
           close_out oc;
-          Printf.printf "\nwritten: %s\n" path);
+          Printf.printf "\nwritten: %s\n" path)
+        json;
       print_newline ();
-      if !violations <> [] then begin
-        List.iter (fun v -> Printf.eprintf "scale budget: %s\n" v) !violations;
+      if violations <> [] then begin
+        List.iter (fun v -> Printf.eprintf "scale budget: %s\n" v) violations;
         exit 1
       end
-  | [] -> ()

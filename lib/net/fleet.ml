@@ -147,37 +147,57 @@ let eval_traces cfg ~kill_windows spans =
   in
   (units_covered, max_multiplicity, total_work, detector_complete)
 
-(* detection/recovery latency histograms from the suspect/unsuspect spans *)
-let latency_hists ~kill_windows spans =
+(* detection/recovery latency histograms from the suspect/unsuspect spans;
+   [kill_incs] maps each kill that landed, as (tick, victim), to the
+   incarnation it hit *)
+let latency_hists ~kill_windows ~kill_incs spans =
   let detect = Hist.create () and recover = Hist.create () in
-  let suspects =
+  let by_peer name =
     List.filter_map
       (fun (s : Sf.span) ->
-        match (s.Sf.name, List.assoc_opt "peer" s.Sf.args) with
-        | "suspect", Some (Dhw_util.Jsonw.Int p) -> Some (s.Sf.pid, p, s.Sf.round)
+        match (s.Sf.name = name, List.assoc_opt "peer" s.Sf.args) with
+        | true, Some (Dhw_util.Jsonw.Int p) -> Some (s, p)
         | _ -> None)
       spans
   in
-  let unsuspects =
-    List.filter_map
-      (fun (s : Sf.span) ->
-        match (s.Sf.name, List.assoc_opt "peer" s.Sf.args) with
-        | "unsuspect", Some (Dhw_util.Jsonw.Int p) -> Some (s.Sf.pid, p, s.Sf.round)
-        | _ -> None)
-      spans
+  let ticked name =
+    List.map (fun ((s : Sf.span), p) -> (s.Sf.pid, p, s.Sf.round)) (by_peer name)
   in
-  (* kill -> earliest suspicion by any survivor *)
+  let suspects = ticked "suspect" and unsuspects = ticked "unsuspect" in
+  let rejoins =
+    List.filter_map
+      (fun ((s : Sf.span), p) ->
+        match List.assoc_opt "inc" s.Sf.args with
+        | Some (Dhw_util.Jsonw.Int inc) -> Some (s.Sf.pid, p, inc, s.Sf.round)
+        | _ -> None)
+      (by_peer "rejoin")
+  in
+  (* kill -> earliest suspicion by a survivor that has not yet heard from a
+     later incarnation of the victim: once it has, its suspicions are of
+     that incarnation, not of the one the kill hit *)
   List.iter
     (fun (victim, from_, _, _) ->
-      let firsts =
-        List.filter_map
-          (fun (o, p, tick) ->
-            if p = victim && o <> victim && tick >= from_ then Some tick else None)
-          suspects
-      in
-      match firsts with
-      | [] -> ()
-      | ts -> Hist.record detect (List.fold_left min max_int ts - from_))
+      match List.assoc_opt (from_, victim) kill_incs with
+      | None -> ()
+      | Some hit ->
+          let rejoined_later o tick =
+            List.exists
+              (fun (o', p, inc, t_r) ->
+                o' = o && p = victim && inc > hit && t_r < tick)
+              rejoins
+          in
+          let firsts =
+            List.filter_map
+              (fun (o, p, tick) ->
+                if
+                  p = victim && o <> victim && tick >= from_
+                  && not (rejoined_later o tick)
+                then Some tick
+                else None)
+              suspects
+          in
+          if firsts <> [] then
+            Hist.record detect (List.fold_left min max_int firsts - from_))
     kill_windows;
   (* suspicion episode -> retraction, per (observer, peer) *)
   List.iter
@@ -401,7 +421,9 @@ let run cfg =
   let no_lost_unit = units_covered = Doall.Spec.n cfg.spec in
   (* per-unit multiplicity below the incarnation count (Recovery's bound) *)
   let bounded_dup = max_multiplicity <= t + n_restarts in
-  let detect_hist, recover_hist = latency_hists ~kill_windows spans in
+  let detect_hist, recover_hist =
+    latency_hists ~kill_windows ~kill_incs:!kill_incs spans
+  in
   {
     ok = completed && no_lost_unit && detector_complete && bounded_dup;
     completed;

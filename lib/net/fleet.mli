@@ -64,7 +64,9 @@ type report = {
   nodes : node_report list;
   spans : Dhw_util.Spanfile.span list;  (** merged across pids/incarnations *)
   detect_hist : Dhw_util.Hist.t;
-      (** kill tick → earliest surviving suspicion, in ticks *)
+      (** kill tick → earliest surviving suspicion, in ticks; a survivor's
+          suspicions stop counting toward a kill once it has logged the
+          [rejoin] of a later incarnation of the victim *)
   recover_hist : Dhw_util.Hist.t;
       (** suspicion → retraction latency (false-suspicion episodes), ticks *)
 }

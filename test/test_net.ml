@@ -633,6 +633,38 @@ let test_fleet_kill_after_clean_exit () =
       Alcotest.(check bool) "all oracles pass" true r.Net.Fleet.ok;
       Alcotest.(check int) "work = n" n r.Net.Fleet.total_work)
 
+(* A kill is detected only by suspicions of the incarnation it hit. Pid 1
+   is killed at tick 12 and respawned at 48, before the 60-tick heartbeat
+   timeout can fire, so that kill goes undetected; the respawn is killed
+   again at 150 and suspected ~50 ticks later. That suspicion belongs to
+   the second kill alone: the survivors logged the respawn's rejoin first. *)
+let test_fleet_detection_latency_per_incarnation () =
+  with_tmpdir (fun dir ->
+      let module CA = Simkit.Campaign.Async in
+      let n = 300 and t = 3 in
+      let sched =
+        CA.make
+          ~meta:
+            [ ("protocol", "async-a"); ("n", string_of_int n);
+              ("t", string_of_int t) ]
+          ~crashes:[ { CA.victim = 1; at = 12 }; { CA.victim = 1; at = 150 } ]
+          ~restarts:[ { CA.victim = 1; at = 48 } ]
+          ~drop_bp:0 ~seed:1L ()
+      in
+      let cfg =
+        Net.Fleet.config ~watchdog_s:60. ~dir ~node_exe:(node_exe ())
+          ~spec:(Doall.Spec.make ~n ~t) ~sched ()
+      in
+      let r = Net.Fleet.run cfg in
+      Alcotest.(check bool) "all oracles pass" true r.Net.Fleet.ok;
+      let h = r.Net.Fleet.detect_hist in
+      Alcotest.(check int) "one detected kill" 1 (Dhw_util.Hist.count h);
+      Alcotest.(check bool)
+        (Printf.sprintf "detected within 100 ticks (%d)"
+           (Dhw_util.Hist.max_value h))
+        true
+        (Dhw_util.Hist.max_value h < 100))
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -682,4 +714,6 @@ let suite =
       test_fleet_end_of_run;
     Alcotest.test_case "fleet: a kill after a clean exit owes no suspicion"
       `Quick test_fleet_kill_after_clean_exit;
+    Alcotest.test_case "fleet: a kill is detected per incarnation" `Quick
+      test_fleet_detection_latency_per_incarnation;
   ]
