@@ -1350,7 +1350,12 @@ let net_replay_cmd =
     Format.printf "  %a@." D.Runner.pp rr;
     Format.printf "  outcome: %s@."
       (Net.Orchestrator.stop_to_string res.Net.Orchestrator.stop);
-    let subject = { D.Fuzz.report = rr; trace = res.Net.Orchestrator.trace } in
+    let subject =
+      {
+        D.Fuzz.report = rr;
+        audit = D.Fuzz.trace_audit ~protocol res.Net.Orchestrator.trace;
+      }
+    in
     (* The same oracle stack a simulator replay of this schedule faces. *)
     let oracles =
       match D.Fuzz.recovery_which_of_name protocol with

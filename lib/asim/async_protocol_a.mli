@@ -118,3 +118,35 @@ val run_validated :
     completion ([≈ (f+1)·n] work) instead of one; liveness never depends
     on the quorum — a subverted or retired active stops beating, so the
     next process takes over organically. *)
+
+(** {1 Parts of the hardened runs}
+
+    What {!run_hardened} and {!run_validated} assemble around {!aproc},
+    exposed so a test can run the same protocols over a reference
+    substrate. *)
+
+val wire_tamper_plain : Doall.Grid.t -> msg Link.wire Event_sim.tamper_model
+(** {!run_hardened}'s tamper model: garbles and forges [Data] frames only. *)
+
+val wire_tamper_signed :
+  Doall.Grid.t -> Doall.Validate.signed Link.wire Event_sim.tamper_model
+(** {!run_validated}'s tamper model: a garbled body keeps its stale
+    authenticator, so validation rejects it. *)
+
+type vstate
+(** The validation layer's state around the inner one. *)
+
+val validate_wrap :
+  Doall.Grid.t ->
+  on_reject:(pid:Simkit.Types.pid -> at:Event_sim.time -> unit) ->
+  (state, msg) Event_sim.aproc ->
+  (vstate, Doall.Validate.signed) Event_sim.aproc
+(** {!run_validated}'s validation layer. *)
+
+val byz_link_config :
+  Link.config option ->
+  (Simkit.Types.pid * Event_sim.time) list option ->
+  Link.config option
+(** The link configuration a run with [byz] subversions uses when the
+    caller chose none: retransmissions bounded at 8, so a subverted peer
+    that never acks cannot hold a draining sender forever. *)

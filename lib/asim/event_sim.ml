@@ -139,11 +139,109 @@ let pp_outcome ppf = function
   | Tick_limit t -> Format.fprintf ppf "TICK-LIMIT@%d" t
 
 (* Internal queue items. [Crash_item] realises the crash schedule,
-   [Forge_item] the Byzantine one; the rest are process-visible events. *)
+   [Forge_item] the Byzantine one; the rest are process-visible events.
+   [Hole] fills a processed cell of the queue, so a delivered item is not
+   kept alive (and promoted) by the bucket it sat in. *)
 type 'm item =
   | Ev of { dst : pid; ev : 'm aevent }
   | Crash_item of pid
   | Forge_item of pid
+  | Hole
+
+(* The event queue: per-tick buckets, each processed in insertion order.
+   The ticks [base, base + horizon) live in a ring of growable arrays that
+   are appended in place and reused, so queueing an item allocates nothing
+   but the item; an item further ahead (a late crash, a backed-off
+   timeout) waits in a map of reversed lists and moves into the ring, in
+   its order, before the ring reaches its tick — so every tick's bucket
+   keeps insertion order. *)
+let horizon = 256
+
+type 'm queue = {
+  slots : 'm item array array;
+  lens : int array;
+  mutable base : time;  (* the tick being processed, or the last one *)
+  mutable in_ring : int;
+  mutable far : 'm item list TMap.t;
+}
+
+let queue () =
+  {
+    slots = Array.make horizon [||];
+    lens = Array.make horizon 0;
+    base = 0;
+    in_ring = 0;
+    far = TMap.empty;
+  }
+
+let append q at item =
+  let i = at land (horizon - 1) in
+  let slot = q.slots.(i) and len = q.lens.(i) in
+  let slot =
+    if len < Array.length slot then slot
+    else begin
+      let bigger = Array.make (max 8 (2 * len)) item in
+      Array.blit slot 0 bigger 0 len;
+      q.slots.(i) <- bigger;
+      bigger
+    end
+  in
+  slot.(len) <- item;
+  q.lens.(i) <- len + 1;
+  q.in_ring <- q.in_ring + 1
+
+let push q at item =
+  if at < q.base + horizon then append q at item
+  else
+    let existing = Option.value ~default:[] (TMap.find_opt at q.far) in
+    q.far <- TMap.add at (item :: existing) q.far
+
+(* The next tick with an item, [max_int] when the queue is empty. *)
+let next_tick q =
+  if q.in_ring > 0 then begin
+    let at = ref q.base in
+    while q.lens.(!at land (horizon - 1)) = 0 do
+      incr at
+    done;
+    !at
+  end
+  else match TMap.min_binding_opt q.far with Some (at, _) -> at | None -> max_int
+
+(* Make [at] the current tick: the far items now inside the horizon move
+   into the ring. *)
+let advance q at =
+  q.base <- at;
+  let rec migrate () =
+    match TMap.min_binding_opt q.far with
+    | Some (t, items) when t < at + horizon ->
+        q.far <- TMap.remove t q.far;
+        List.iter (append q t) (List.rev items);
+        migrate ()
+    | _ -> ()
+  in
+  migrate ()
+
+(* Process every item of the current tick, in insertion order. *)
+let drain q f =
+  let i = q.base land (horizon - 1) in
+  let k = ref 0 in
+  while !k < q.lens.(i) do
+    let slot = q.slots.(i) in
+    let item = slot.(!k) in
+    slot.(!k) <- Hole;
+    f item;
+    incr k
+  done;
+  q.in_ring <- q.in_ring - q.lens.(i);
+  q.lens.(i) <- 0
+
+let alive_status = function Running -> true | Terminated _ | Crashed _ -> false
+
+let rec severed src dst now = function
+  | [] -> false
+  | (s, d, from_, to_) :: rest ->
+      (s = src && d = dst && from_ <= now && now <= to_)
+      || severed src dst now rest
 
 let run ?metrics ?tamper cfg proc =
   let t = cfg.n_processes in
@@ -152,15 +250,13 @@ let run ?metrics ?tamper cfg proc =
     | Some m -> m
     | None -> Simkit.Metrics.create ~n_processes:t ~n_units:cfg.n_units
   in
+  (* Obs events and span closures are built only when a sink is armed. *)
+  let has_obs = Option.is_some cfg.obs in
   let emit = match cfg.obs with Some sink -> sink | None -> Simkit.Obs.null in
   let statuses = Array.make t Running in
   let states = Array.init t proc.a_init in
   let g = Prng.create cfg.seed in
-  let queue : 'm item list TMap.t ref = ref TMap.empty in
-  let push at item =
-    let existing = Option.value ~default:[] (TMap.find_opt at !queue) in
-    queue := TMap.add at (item :: existing) !queue
-  in
+  let q = queue () in
   let slow = Array.make t false in
   List.iter (fun pid -> slow.(pid) <- true) cfg.link.slow_set;
   let n_sent = ref 0 and n_dropped = ref 0 and n_duplicated = ref 0 in
@@ -175,19 +271,19 @@ let run ?metrics ?tamper cfg proc =
     cfg.byz;
   let byz_active pid now = byz_from.(pid) <= now in
   (* Crash schedule first so a crash at tick τ precedes deliveries at τ. *)
-  List.iter (fun (pid, at) -> push at (Crash_item pid)) cfg.crash_at;
+  List.iter (fun (pid, at) -> push q at (Crash_item pid)) cfg.crash_at;
   Array.iteri
-    (fun pid at -> if at < max_int then push at (Forge_item pid))
+    (fun pid at -> if at < max_int then push q at (Forge_item pid))
     byz_from;
   (* Injected detector unsoundness: a notice about a live process. *)
   List.iter
     (fun (observer, suspect, at) ->
-      push at (Ev { dst = observer; ev = Retired_notice suspect }))
+      push q at (Ev { dst = observer; ev = Retired_notice suspect }))
     cfg.false_suspicions;
   for pid = 0 to t - 1 do
-    push 0 (Ev { dst = pid; ev = Started })
+    push q 0 (Ev { dst = pid; ev = Started })
   done;
-  let alive pid = statuses.(pid) = Running in
+  let alive pid = alive_status statuses.(pid) in
   let retire_notify who now =
     (* Failure-detection service: sound by construction (only called on
        actual retirement), complete because every live process gets a
@@ -196,8 +292,16 @@ let run ?metrics ?tamper cfg proc =
     if cfg.oracle_detector then
       for obs = 0 to t - 1 do
         if obs <> who && alive obs then
-          push (now + 1 + Prng.int g cfg.max_lag) (Ev { dst = obs; ev = Retired_notice who })
+          push q (now + 1 + Prng.int g cfg.max_lag)
+            (Ev { dst = obs; ev = Retired_notice who })
       done
+  in
+  let deliver now src dst payload =
+    let cap =
+      if slow.(src) || slow.(dst) then cfg.max_delay * cfg.link.slow_factor
+      else cfg.max_delay
+    in
+    push q (now + 1 + Prng.int g cap) (Ev { dst; ev = Got { src; payload } })
   in
   let transmit now src dst payload =
     (* The link adversary: every protocol message may be dropped, duplicated
@@ -211,14 +315,8 @@ let run ?metrics ?tamper cfg proc =
     (* A severed link loses the message deterministically, before any
        adversary coin is consumed — schedules without severs stay
        byte-identical. *)
-    let severed =
-      List.exists
-        (fun (s, d, from_, to_) ->
-          s = src && d = dst && from_ <= now && now <= to_)
-        cfg.link.severs
-    in
     let dropped =
-      severed
+      severed src dst now cfg.link.severs
       || (cfg.link.drop_bp > 0 && Prng.int g 10_000 < cfg.link.drop_bp)
     in
     if dropped then incr n_dropped
@@ -233,22 +331,15 @@ let run ?metrics ?tamper cfg proc =
           match tamper with
           | Some tm ->
               Simkit.Metrics.record_corruption metrics;
-              emit (Simkit.Obs.Tamper { pid = src; at = now });
+              if has_obs then emit (Simkit.Obs.Tamper { pid = src; at = now });
               tm.t_corrupt ~src ~dst ~at:now payload
           | None -> payload
         else payload
       in
-      let deliver () =
-        let cap =
-          if slow.(src) || slow.(dst) then cfg.max_delay * cfg.link.slow_factor
-          else cfg.max_delay
-        in
-        push (now + 1 + Prng.int g cap) (Ev { dst; ev = Got { src; payload } })
-      in
-      deliver ();
+      deliver now src dst payload;
       if cfg.link.dup_bp > 0 && Prng.int g 10_000 < cfg.link.dup_bp then begin
         incr n_duplicated;
-        deliver ()
+        deliver now src dst payload
       end
     end
   in
@@ -267,86 +358,98 @@ let run ?metrics ?tamper cfg proc =
                ts_us = Dhw_util.Clock.now_us () });
         res
   in
+  let rec record_work dst now = function
+    | [] -> ()
+    | u :: rest ->
+        Simkit.Metrics.record_work metrics dst u;
+        if has_obs then emit (Simkit.Obs.Work { pid = dst; at = now; unit_id = u });
+        record_work dst now rest
+  in
+  let rec send_all dst now = function
+    | [] -> ()
+    | (to_, payload) :: rest ->
+        Simkit.Metrics.record_send metrics dst;
+        if has_obs then
+          emit (Simkit.Obs.Send { src = dst; dst = to_; at = now; tag = "" });
+        if to_ >= 0 && to_ < t then transmit now dst to_ payload;
+        send_all dst now rest
+  in
+  let rec forge_all pid now = function
+    | [] -> ()
+    | (dst, payload) :: rest ->
+        Simkit.Metrics.record_corruption metrics;
+        if has_obs then emit (Simkit.Obs.Tamper { pid; at = now });
+        if dst >= 0 && dst < t then transmit now pid dst payload;
+        forge_all pid now rest
+  in
   let handle now dst ev =
     if alive dst && not (byz_active dst now) then begin
-      emit (Simkit.Obs.Step { pid = dst; at = now });
+      if has_obs then emit (Simkit.Obs.Step { pid = dst; at = now });
       let o =
-        with_span ~name:"handle" ~pid:dst now (fun () ->
-            proc.a_handle dst now states.(dst) ev)
+        match cfg.spans with
+        | None -> proc.a_handle dst now states.(dst) ev
+        | Some _ ->
+            with_span ~name:"handle" ~pid:dst now (fun () ->
+                proc.a_handle dst now states.(dst) ev)
       in
       states.(dst) <- o.state;
-      List.iter
-        (fun u ->
-          Simkit.Metrics.record_work metrics dst u;
-          emit (Simkit.Obs.Work { pid = dst; at = now; unit_id = u }))
-        o.work;
-      List.iter
-        (fun (to_, payload) ->
-          Simkit.Metrics.record_send metrics dst;
-          emit (Simkit.Obs.Send { src = dst; dst = to_; at = now; tag = "" });
-          if to_ >= 0 && to_ < t then transmit now dst to_ payload)
-        o.sends;
+      record_work dst now o.work;
+      send_all dst now o.sends;
       Simkit.Metrics.record_round metrics now;
       if o.terminate then begin
         statuses.(dst) <- Terminated now;
         Simkit.Metrics.record_terminate metrics dst now;
-        emit (Simkit.Obs.Terminate { pid = dst; at = now });
+        if has_obs then emit (Simkit.Obs.Terminate { pid = dst; at = now });
         retire_notify dst now
       end
       else
         match o.continue_after with
-        | Some d when d >= 1 -> push (now + d) (Ev { dst; ev = Continue })
+        | Some d when d >= 1 -> push q (now + d) (Ev { dst; ev = Continue })
         | Some _ -> invalid_arg "Event_sim: continue_after must be >= 1"
         | None -> ()
     end
   in
+  let honest_alive () =
+    let found = ref false in
+    for i = 0 to t - 1 do
+      if alive i && byz_from.(i) = max_int then found := true
+    done;
+    !found
+  in
+  let process now = function
+    | Crash_item pid ->
+        if alive pid && not (byz_active pid now) then begin
+          statuses.(pid) <- Crashed now;
+          Simkit.Metrics.record_crash metrics pid now;
+          if has_obs then emit (Simkit.Obs.Crash { pid; at = now });
+          retire_notify pid now
+        end
+    | Forge_item pid ->
+        if alive pid && honest_alive () then begin
+          (match tamper with
+          | Some tm -> forge_all pid now (tm.t_forge pid ~at:now)
+          | None -> ());
+          (* the next salvo — stop once every honest process has retired,
+             so the queue can drain and the run complete *)
+          push q (now + cfg.max_delay) (Forge_item pid)
+        end
+    | Ev { dst; ev } -> handle now dst ev
+    | Hole -> ()
+  in
   let last_tick = ref 0 in
   let limited = ref false in
   let rec loop () =
-    match TMap.min_binding_opt !queue with
-    | None -> ()
-    | Some (now, items) when now <= cfg.max_ticks ->
-        queue := TMap.remove now !queue;
-        last_tick := now;
-        (* items were accumulated in reverse insertion order *)
-        with_span ~name:"tick" ~pid:(-1) now (fun () ->
-        List.iter
-          (fun item ->
-            match item with
-            | Crash_item pid ->
-                if alive pid && not (byz_active pid now) then begin
-                  statuses.(pid) <- Crashed now;
-                  Simkit.Metrics.record_crash metrics pid now;
-                  emit (Simkit.Obs.Crash { pid; at = now });
-                  retire_notify pid now
-                end
-            | Forge_item pid ->
-                let honest_alive =
-                  let found = ref false in
-                  Array.iteri
-                    (fun i s ->
-                      if s = Running && byz_from.(i) = max_int then found := true)
-                    statuses;
-                  !found
-                in
-                if alive pid && honest_alive then begin
-                  (match tamper with
-                  | Some tm ->
-                      List.iter
-                        (fun (dst, payload) ->
-                          Simkit.Metrics.record_corruption metrics;
-                          emit (Simkit.Obs.Tamper { pid; at = now });
-                          if dst >= 0 && dst < t then transmit now pid dst payload)
-                        (tm.t_forge pid ~at:now)
-                  | None -> ());
-                  (* the next salvo — stop once every honest process has
-                     retired, so the queue can drain and the run complete *)
-                  push (now + cfg.max_delay) (Forge_item pid)
-                end
-            | Ev { dst; ev } -> handle now dst ev)
-          (List.rev items));
-        loop ()
-    | Some _ -> limited := true
+    let now = next_tick q in
+    if now = max_int then ()
+    else if now > cfg.max_ticks then limited := true
+    else begin
+      advance q now;
+      last_tick := now;
+      (match cfg.spans with
+      | None -> drain q (process now)
+      | Some _ -> with_span ~name:"tick" ~pid:(-1) now (fun () -> drain q (process now)));
+      loop ()
+    end
   in
   loop ();
   let retired_or_byz i s = is_retired s || byz_from.(i) < max_int in

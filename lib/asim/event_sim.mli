@@ -195,4 +195,11 @@ val run :
     validation layer counting rejects). [tamper] gives the corruption /
     Byzantine powers of the configuration their voice; without it
     [corrupt_bp] is inert and [byz] pids degrade to silent never-retiring
-    crashes. *)
+    crashes.
+
+    Cost: the queue keeps per-tick buckets, appended in place and reused
+    across ticks, so a message in flight allocates its queue item and its
+    [Got] event and nothing else; adversary draws allocate nothing. [Obs]
+    events are built only with [obs] armed and span closures only with
+    [spans] armed. Events of one tick are delivered in the order they were
+    queued. *)

@@ -18,14 +18,17 @@ let config ?(period = 8) ?(timeout = 48) ?(backoff = 2) ?(max_timeout = 100_000)
 
 type stats = { suspicions : int; false_suspicions : int; unsuspects : int }
 
-(* One monitor instance, owned by one process. [deadline.(q) = None] means q
-   is not monitored (it is [me], was stopped, or is currently suspected). *)
+(* One monitor instance, owned by one process. [deadline.(q) = unmonitored]
+   means q is not monitored (it is [me], was stopped, or is currently
+   suspected): a tick no run reaches, kept unboxed in an int array. *)
+let unmonitored = max_int
+
 type t = {
   cfg : config;
   me : pid;
   n : int;
   mutable next_beat : time;
-  deadline : time option array;
+  deadline : time array;
   timeout : int array;
   suspected : bool array;
   stopped : bool array;
@@ -43,7 +46,7 @@ let create ?(config = config ()) ~me ~n ~now () =
       me;
       n;
       next_beat = now;
-      deadline = Array.make n None;
+      deadline = Array.make n unmonitored;
       timeout = Array.make n config.timeout;
       suspected = Array.make n false;
       stopped = Array.make n false;
@@ -53,7 +56,7 @@ let create ?(config = config ()) ~me ~n ~now () =
     }
   in
   for q = 0 to n - 1 do
-    if q <> me then t.deadline.(q) <- Some (now + config.timeout)
+    if q <> me then t.deadline.(q) <- now + config.timeout
   done;
   t
 
@@ -64,23 +67,24 @@ let suspects t =
 
 let stop t q =
   t.stopped.(q) <- true;
-  t.deadline.(q) <- None
+  t.deadline.(q) <- unmonitored
 
 let next_deadline t =
-  Array.fold_left
-    (fun acc d -> match d with Some d when d < acc -> d | _ -> acc)
-    t.next_beat t.deadline
+  let acc = ref t.next_beat in
+  for q = 0 to t.n - 1 do
+    if t.deadline.(q) < !acc then acc := t.deadline.(q)
+  done;
+  !acc
 
 let tick t ~now =
   let newly = ref [] in
   for q = t.n - 1 downto 0 do
-    match t.deadline.(q) with
-    | Some d when d <= now ->
-        t.suspected.(q) <- true;
-        t.deadline.(q) <- None;
-        t.n_suspicions <- t.n_suspicions + 1;
-        newly := q :: !newly
-    | _ -> ()
+    if t.deadline.(q) <= now then begin
+      t.suspected.(q) <- true;
+      t.deadline.(q) <- unmonitored;
+      t.n_suspicions <- t.n_suspicions + 1;
+      newly := q :: !newly
+    end
   done;
   let beat = now >= t.next_beat in
   if beat then t.next_beat <- now + t.cfg.period;
@@ -99,7 +103,7 @@ let alive_evidence t ~src ~now =
       t.timeout.(src) <-
         min t.cfg.max_timeout (t.timeout.(src) * t.cfg.backoff)
     end;
-    t.deadline.(src) <- Some (now + t.timeout.(src));
+    t.deadline.(src) <- now + t.timeout.(src);
     recovered
   end
 
@@ -114,7 +118,7 @@ let rejoin t q ~now =
     end;
     (* A rejoiner is a fresh process: grant it the initial timeout again. *)
     t.timeout.(q) <- t.cfg.timeout;
-    t.deadline.(q) <- Some (now + t.cfg.timeout)
+    t.deadline.(q) <- now + t.cfg.timeout
   end
 
 let stats t =

@@ -34,7 +34,8 @@ val config :
     or [max_timeout < timeout]. *)
 
 type t
-(** A mutable monitor owned by one process. *)
+(** A mutable monitor owned by one process. Its per-peer deadlines are
+    unboxed ints, so {!alive_evidence} allocates nothing. *)
 
 val create : ?config:config -> me:pid -> n:int -> now:time -> unit -> t
 (** Monitor the [n - 1] peers of [me]; every peer starts with a full

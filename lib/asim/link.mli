@@ -30,7 +30,15 @@
     - sends addressed to peers currently believed retired are skipped
       outright; a false belief can therefore lose an inner message
       permanently, and recovery relies on the wrapped protocol's takeover
-      redundancy (Protocol A reissues knowledge on every takeover). *)
+      redundancy (Protocol A reissues knowledge on every takeover).
+
+    Cost: the wrapper state is one mutable record per process, updated in
+    place, and the handler allocates no closures. Handling a [Beat]
+    allocates only the returned outcome, plus the option and list cell of
+    a newly armed wakeup when one is needed; an [Ack] also copies the
+    pending list up to the acked packet. Each packet sent adds its
+    [(dst, wire)] pair and list cell. Heartbeat deadlines are unboxed
+    ({!Heartbeat}). *)
 
 open Simkit.Types
 
@@ -99,7 +107,9 @@ type 'm wire = Data of { seq : int; payload : 'm } | Ack of int | Beat
 val show_wire : ('m -> string) -> 'm wire -> string
 
 type ('s, 'm) state
-(** Wrapper state: inner state plus transport bookkeeping. *)
+(** Wrapper state: inner state plus transport bookkeeping. Mutable: a
+    handler call updates it in place and returns it as its outcome's
+    state. *)
 
 val inner_state : ('s, 'm) state -> 's
 val in_flight : ('s, 'm) state -> int
@@ -111,7 +121,8 @@ val suspects : ('s, 'm) state -> pid list
     lost its quorum — the real-fleet driver parks on this signal. *)
 
 val rejoin : ?stats:stats -> ('s, 'm) state -> pid -> now:time -> ('s, 'm) state
-(** [rejoin st q ~now]: [q] is known to have restarted, for instance
+(** [rejoin st q ~now] (updates and returns [st]): [q] is known to have
+    restarted, for instance
     because a crash-recovery transport saw a higher incarnation of it.
     Sends to [q] resume, and its monitor is re-armed through
     {!Heartbeat.rejoin}: a standing suspicion is cleared with the initial

@@ -75,7 +75,8 @@ let make ~period spec =
             wakeup = Some (deadline pid);
           }
   in
-  Protocol.Packed { proc = { init; step }; show = show_msg }
+  Protocol.Packed
+    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
 
 let protocol ~period =
   if period < 1 then invalid_arg "Baseline_checkpoint.protocol: period >= 1";

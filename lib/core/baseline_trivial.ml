@@ -19,7 +19,8 @@ let make spec =
       wakeup = Some (u + 1);
     }
   in
-  Protocol.Packed { proc = { init; step }; show = show_msg }
+  Protocol.Packed
+    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
 
 let protocol =
   {

@@ -2,13 +2,45 @@ module C = Simkit.Campaign
 module Metrics = Simkit.Metrics
 module Audit = Simkit.Audit
 
-type subject = { report : Runner.report; trace : Simkit.Trace.t }
+type subject = { report : Runner.report; audit : Audit.t }
+
+let normalize name =
+  match String.lowercase_ascii name with
+  | "cchunked" -> "c-chunked"
+  | "cnaive" -> "c-naive"
+  | "dcoord" -> "d-coord"
+  | s -> s
+
+(* The protocols judged by the sequential audits: one active process at a
+   time (Lemma 2.7), first performances in increasing unit order. *)
+let sequential protocol =
+  match normalize protocol with
+  | "a" | "b" | "c" | "c-chunked" -> true
+  | _ -> false
+
+let checks_for protocol =
+  if sequential protocol then Audit.[ Well_formed; One_active; Monotone ]
+  else [ Audit.Well_formed ]
+
+let armed spec checks =
+  Audit.create ~checks ~processes:(Spec.processes spec) ~units:(Spec.n spec) ()
 
 let run_schedule ?max_rounds spec proto sched =
-  let trace = Simkit.Trace.create () in
+  let audit = armed spec (checks_for proto.Protocol.name) in
   let fault = C.Schedule.to_fault sched in
-  let report = Runner.run ~fault ?max_rounds ~trace spec proto in
-  { report; trace }
+  let report = Runner.run ~fault ?max_rounds ~audit spec proto in
+  { report; audit }
+
+(* The text a protocol renders its passive messages as, for recorded
+   traces: taken from the protocol's own printer. *)
+let passive_text protocol =
+  let is rendering what = String.equal what rendering in
+  match normalize protocol with
+  | "b" -> is (Protocol_b.show_msg Protocol_b.Go_ahead)
+  | "b+rec" ->
+      is (Recovery.show_rmsg Protocol_b.show_msg (Recovery.Payload Protocol_b.Go_ahead))
+  | "c" | "c-chunked" -> is (Protocol_c.show_msg Protocol_c.Alive)
+  | _ -> Protocol.no_passive
 
 (* ------------------------------------------------------------------ *)
 (* Oracles *)
@@ -39,12 +71,12 @@ let correct =
                (Metrics.n_units s.report.Runner.metrics)));
   }
 
-let audit name check_trace =
+let audit name check =
   {
     C.name;
     check =
       (fun s ->
-        match check_trace s.trace with
+        match Audit.violations s.audit check with
         | [] -> C.Pass
         | v :: _ -> C.Fail (Format.asprintf "%a" Audit.pp_violation v));
   }
@@ -65,30 +97,17 @@ let msgs_bound = bounded "messages" Metrics.messages
 let rounds_bound = bounded "rounds" Metrics.rounds
 let work_cap cap = bounded "work-cap" Metrics.work cap
 
-let b_passive what = what = "go_ahead"
-let c_passive what = what = "alive"
-
-let sequential_audits passive =
-  [
-    audit "one-active" (Audit.at_most_one_active ~passive_msg:passive);
-    audit "monotone" Audit.work_is_monotone;
-  ]
-
-let normalize name =
-  match String.lowercase_ascii name with
-  | "cchunked" -> "c-chunked"
-  | "cnaive" -> "c-naive"
-  | "dcoord" -> "d-coord"
-  | s -> s
+let sequential_audits =
+  [ audit "one-active" Audit.One_active; audit "monotone" Audit.Monotone ]
 
 let oracles spec ~protocol =
-  let base = [ completed; correct; audit "well-formed" Audit.well_formed ] in
+  let base = [ completed; correct; audit "well-formed" Audit.Well_formed ] in
   let t = Spec.processes spec in
   match normalize protocol with
   | "a" ->
       let g = Grid.make spec in
       base
-      @ sequential_audits (fun _ -> false)
+      @ sequential_audits
       @ [
           work_bound (Bounds.a_work g);
           msgs_bound (Bounds.a_msgs g);
@@ -97,7 +116,7 @@ let oracles spec ~protocol =
   | "b" ->
       let g = Grid.make spec in
       base
-      @ sequential_audits b_passive
+      @ sequential_audits
       @ [
           work_bound (Bounds.b_work g);
           msgs_bound (Bounds.b_msgs g);
@@ -107,11 +126,11 @@ let oracles spec ~protocol =
       (* the rounds bound overflows 63 bits (Thm 3.8's 2^(n+t) deadlines),
          so only work and messages are checked *)
       base
-      @ sequential_audits c_passive
+      @ sequential_audits
       @ [ work_bound (Bounds.c_work spec); msgs_bound (Bounds.c_msgs spec) ]
   | "c-chunked" ->
       base
-      @ sequential_audits c_passive
+      @ sequential_audits
       @ [
           work_bound (Bounds.c_chunked_work spec);
           msgs_bound (Bounds.c_chunked_msgs spec);
@@ -174,10 +193,14 @@ let recovery_which_of_name name =
   | _ -> None
 
 let run_recovery_schedule ?max_rounds ?rejoin_rounds spec which sched =
-  let trace = Simkit.Trace.create () in
+  let audit = armed spec [ Audit.Well_formed ] in
   let fault = C.Schedule.to_fault sched in
-  let report = Recovery.run ~fault ?max_rounds ?rejoin_rounds ~trace spec which in
-  { report; trace }
+  let report = Recovery.run ~fault ?max_rounds ?rejoin_rounds ~audit spec which in
+  { report; audit }
+
+let trace_audit ~protocol trace =
+  Audit.replay ~passive_msg:(passive_text protocol)
+    ~checks:(checks_for protocol) trace
 
 (* Oracle bounds under crash–recovery are incarnation-counting envelopes:
    with [R] committed restarts an execution has at most [t + R] incarnations,
@@ -239,7 +262,7 @@ let recovery_oracles spec which ~horizon =
   [
     completed;
     correct;
-    audit "well-formed" Audit.well_formed;
+    audit "well-formed" Audit.Well_formed;
     recovery_multiplicity spec;
     dyn_bounded "work" Metrics.work (fun s -> Spec.n spec * incarnations spec s);
     dyn_bounded "messages" Metrics.messages (fun s ->
@@ -300,15 +323,15 @@ let byz_hardening_of_name name =
   | "a+val" | "aval" -> Some Hardened
   | _ -> None
 
+(* No byz oracle reads an audit, so none is fed. *)
 let run_byz_schedule ?max_rounds spec hardening sched =
-  let trace = Simkit.Trace.create () in
   let fault = C.Schedule.to_fault sched in
   let report =
     match hardening with
-    | Unhardened -> Validate.run_unhardened ~fault ?max_rounds ~trace spec
-    | Hardened -> Validate.run ~fault ?max_rounds ~trace spec
+    | Unhardened -> Validate.run_unhardened ~fault ?max_rounds spec
+    | Hardened -> Validate.run ~fault ?max_rounds spec
   in
-  { report; trace }
+  { report; audit = armed spec [] }
 
 let no_phantom_unit =
   {

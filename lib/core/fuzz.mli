@@ -1,21 +1,32 @@
 (** Protocol-specific instantiation of the {!Simkit.Campaign} adversary
     engine: one oracle stack per protocol (completion, the §2 correctness
-    verdict, trace audits, and the theorem bounds of {!Bounds}), plus
-    ready-made sampled and exhaustive campaign drivers.
+    verdict, the {!Simkit.Audit} invariants, and the theorem bounds of
+    {!Bounds}), plus ready-made sampled and exhaustive campaign drivers.
+    No execution records a trace: the kernel feeds an audit checker as the
+    run happens.
 
     Used by the tier-1 test suite, the E16 bench sweep, and the
     [doall_cli fuzz] / [doall_cli replay] subcommands. *)
 
 module C := Simkit.Campaign
 
-type subject = { report : Runner.report; trace : Simkit.Trace.t }
-(** What an oracle judges: the runner's report plus the full trace (the
-    audits need the latter). *)
+type subject = { report : Runner.report; audit : Simkit.Audit.t }
+(** What an oracle judges: the runner's report plus the audit checker the
+    kernel fed during the run, armed with the checks the matching oracle
+    stack reads (none for the corruption stack). *)
 
 val run_schedule :
   ?max_rounds:int -> Spec.t -> Protocol.t -> C.Schedule.t -> subject
 (** One execution of [protocol] on [spec] under the schedule's fault plan,
-    traced. *)
+    audited by [well-formed] and, for the sequential protocols (A, B, C,
+    C-chunked), [one-active] and [monotone]. *)
+
+val trace_audit : protocol:string -> Simkit.Trace.t -> Simkit.Audit.t
+(** The checker {!run_schedule} (or, for ["a+rec"]/["b+rec"],
+    {!run_recovery_schedule}) would arm for [protocol], fed a recorded
+    trace instead — a real fleet's. A [Sent] event is passive when its text
+    is the protocol's own rendering of its passive message (B's [Go_ahead],
+    C's [Alive]). *)
 
 val oracles : Spec.t -> protocol:string -> subject C.oracle list
 (** The oracle stack for a protocol name (as accepted by the CLI: "a", "b",
@@ -23,7 +34,8 @@ val oracles : Spec.t -> protocol:string -> subject C.oracle list
     - ["completed"]: the run retired every process (no stall / round limit);
     - ["correct"]: the paper's §2 verdict ({!Runner.correct});
     - ["well-formed"] and, for the sequential protocols, ["one-active"] and
-      ["monotone"] ({!Simkit.Audit});
+      ["monotone"] ({!Simkit.Audit}; each fails with the first violation
+      of its check);
     - ["work"], ["messages"], ["rounds"]: the theorem bounds, reporting
       measured/bound margins on passing runs. Protocol D is judged against
       its revert-path envelope with [f = t-1]; unknown protocols get no
@@ -76,8 +88,8 @@ val run_recovery_schedule :
   Recovery.which ->
   C.Schedule.t ->
   subject
-(** One traced execution of the recovery-hardened protocol under the
-    schedule's fault plan (crashes and restarts). *)
+(** One execution of the recovery-hardened protocol under the schedule's
+    fault plan (crashes and restarts), audited by [well-formed]. *)
 
 val recovery_oracles :
   Spec.t -> Recovery.which -> horizon:int -> subject C.oracle list
@@ -132,8 +144,9 @@ val byz_hardening_of_name : string -> hardening option
 
 val run_byz_schedule :
   ?max_rounds:int -> Spec.t -> hardening -> C.Schedule.t -> subject
-(** One traced execution under the schedule's fault plan with the matching
-    tamper model wired in, so [Corrupt]/[Byzantine] entries act. *)
+(** One execution under the schedule's fault plan with the matching
+    tamper model wired in, so [Corrupt]/[Byzantine] entries act. No audit
+    is fed: none of {!byz_oracles} reads one. *)
 
 val byz_oracles : Spec.t -> hardening:hardening -> subject C.oracle list
 (** The corruption oracle stack:

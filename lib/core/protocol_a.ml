@@ -61,7 +61,8 @@ let resume_state grid pid ~at last =
   (Waiting { last; deadline = dl }, Some wake)
 
 let make_on_grid grid =
-  Protocol.Packed { proc = proc_on_grid grid; show = show_msg }
+  Protocol.Packed
+    { proc = proc_on_grid grid; show = show_msg; passive = Protocol.no_passive }
 
 let protocol =
   {

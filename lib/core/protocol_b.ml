@@ -4,6 +4,7 @@ open Ckpt_script
 type msg = Ord of Ckpt_script.ord | Go_ahead
 
 let show_msg = function Ord o -> show_ord o | Go_ahead -> "go_ahead"
+let is_passive = function Go_ahead -> true | Ord _ -> false
 
 type mode =
   | Passive
@@ -152,7 +153,8 @@ let resume_state grid pid ~at last =
 
 let make spec =
   let grid = Grid.make spec in
-  Protocol.Packed { proc = proc_on_grid grid; show = show_msg }
+  Protocol.Packed
+    { proc = proc_on_grid grid; show = show_msg; passive = is_passive }
 
 let protocol =
   {

@@ -31,6 +31,9 @@ type msg = Ord of Ckpt_script.ord | Go_ahead
 
 val show_msg : msg -> string
 
+val is_passive : msg -> bool
+(** [Go_ahead]: a probed process's reply does not make it active. *)
+
 val protocol : Protocol.t
 
 (** {1 Deadline functions} (exposed for tests and benches) *)

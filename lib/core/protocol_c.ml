@@ -136,6 +136,8 @@ let show_msg = function
   | Are_you_alive -> "are_you_alive?"
   | Alive -> "alive"
 
+let is_passive = function Alive -> true | Ordinary _ | Are_you_alive -> false
+
 type phase =
   | Polling of int  (* level h: resolve a target and send "Are you alive?" *)
   | Awaiting of { h : int; target : pid }  (* poll sent at r; decide at r+2 *)
@@ -293,7 +295,8 @@ let protocol_with_period ~period ~name =
               wakeup = Some deadline;
             }
     in
-    Protocol.Packed { proc = { init; step }; show = show_msg }
+    Protocol.Packed
+      { proc = { init; step }; show = show_msg; passive = is_passive }
   in
   { Protocol.name; describe = "knowledge-spreading, O(t log t) msgs (Thm 3.8)"; make }
 

@@ -33,6 +33,9 @@ type msg = Ordinary of view | Are_you_alive | Alive
 
 val show_msg : msg -> string
 
+val is_passive : msg -> bool
+(** [Alive]: answering a poll does not make a process active. *)
+
 val protocol : Protocol.t
 (** Protocol C proper ([report_period = 1]). *)
 

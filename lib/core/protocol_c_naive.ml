@@ -110,7 +110,8 @@ let make spec =
             wakeup = Some deadline;
           }
   in
-  Protocol.Packed { proc = { init; step }; show = show_msg }
+  Protocol.Packed
+    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
 
 let protocol =
   {

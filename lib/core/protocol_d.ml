@@ -324,7 +324,8 @@ let protocol_with_alpha ~alpha ~name =
             }
       | RActive { ra; script } -> run_ra ra r script
     in
-    Protocol.Packed { proc = { init; step }; show = show_msg }
+    Protocol.Packed
+    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
   in
   {
     Protocol.name;

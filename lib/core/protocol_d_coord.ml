@@ -258,7 +258,8 @@ let make spec =
         let mode, sends, work, terminate, wakeup = run_fa r script in
         { state = { st with mode }; sends; work; terminate; wakeup }
   in
-  Protocol.Packed { proc = { init; step }; show = show_msg }
+  Protocol.Packed
+    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
 
 let protocol =
   {

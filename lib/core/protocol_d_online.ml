@@ -253,7 +253,8 @@ let protocol cfg =
           in
           agree_step pid r a inbox
     in
-    Protocol.Packed { proc = { init; step }; show = show_msg }
+    Protocol.Packed
+    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
   in
   {
     Protocol.name = "D-online";

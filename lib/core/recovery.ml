@@ -40,6 +40,10 @@ let show_rmsg show = function
   | Announce -> "announce"
   | Transfer l -> "xfer " ^ show_last l
 
+let rmsg_passive passive = function
+  | Payload m -> passive m
+  | Announce | Transfer _ -> false
+
 type 's imode = Run of 's | Rejoin of { until : round; announced : bool }
 
 type 's rstate = {
@@ -53,6 +57,7 @@ type ('s, 'm) adapter = {
   init : pid -> 's * round option;
   step : pid -> round -> 's -> 'm envelope list -> ('s, 'm) outcome;
   show : 'm -> string;
+  passive : 'm -> bool;
   view_of : 'm -> ord option;
   resume : pid -> at:round -> last -> 's * round option;
 }
@@ -194,6 +199,7 @@ let adapter_a grid : (Protocol_a.state, Protocol_a.msg) adapter =
     init = proc.init;
     step = proc.step;
     show = Protocol_a.show_msg;
+    passive = Protocol.no_passive;
     view_of = (fun (m : Protocol_a.msg) -> Some m);
     resume = Protocol_a.resume_state grid;
   }
@@ -205,6 +211,7 @@ let adapter_b grid : (Protocol_b.pstate, Protocol_b.msg) adapter =
     init = proc.init;
     step = proc.step;
     show = Protocol_b.show_msg;
+    passive = Protocol_b.is_passive;
     view_of =
       (function Protocol_b.Ord o -> Some o | Protocol_b.Go_ahead -> None);
     resume = Protocol_b.resume_state grid;
@@ -214,7 +221,8 @@ let adapter_b grid : (Protocol_b.pstate, Protocol_b.msg) adapter =
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run ?fault ?max_rounds ?trace ?obs ?spans ?(rejoin_rounds = 3) spec which =
+let run ?fault ?max_rounds ?trace ?obs ?spans ?audit ?(rejoin_rounds = 3) spec
+    which =
   let grid = Grid.make spec in
   let metrics =
     Simkit.Metrics.create ~n_processes:(Spec.processes spec) ~n_units:(Spec.n spec)
@@ -231,9 +239,9 @@ let run ?fault ?max_rounds ?trace ?obs ?spans ?(rejoin_rounds = 3) spec which =
   let run_with (type s m) (ad : (s, m) adapter) =
     let proc = harden ad ~stable in
     let cfg =
-      Simkit.Kernel.config ?fault ?max_rounds ?trace ?obs ?spans
-        ~show:(show_rmsg ad.show) ~n_processes:ad.n_procs ~n_units:(Spec.n spec)
-        ()
+      Simkit.Kernel.config ?fault ?max_rounds ?trace ?obs ?spans ?audit
+        ~passive:(rmsg_passive ad.passive) ~show:(show_rmsg ad.show)
+        ~n_processes:ad.n_procs ~n_units:(Spec.n spec) ()
     in
     let result =
       Simkit.Kernel.run ~recover:(recover_hook stable ~rejoin_rounds) ~metrics

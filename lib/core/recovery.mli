@@ -72,6 +72,7 @@ type ('s, 'm) adapter = {
     'm Simkit.Types.envelope list ->
     ('s, 'm) Simkit.Types.outcome;
   show : 'm -> string;
+  passive : 'm -> bool;  (** as {!Protocol.packed}'s *)
   view_of : 'm -> Ckpt_script.ord option;
   resume :
     Simkit.Types.pid ->
@@ -108,6 +109,7 @@ val run :
   ?trace:Simkit.Trace.t ->
   ?obs:Simkit.Obs.sink ->
   ?spans:Simkit.Obs.sink ->
+  ?audit:Simkit.Audit.t ->
   ?rejoin_rounds:int ->
   Spec.t ->
   which ->
@@ -119,4 +121,6 @@ val run :
     [rejoin_rounds] (default 3) is the state-transfer window: announce,
     peer replies in flight, absorb — a rejoiner resumes at
     [restart round + rejoin_rounds]. With [rejoin_rounds = 0] a rejoiner
-    resumes immediately from its own stable cell alone. *)
+    resumes immediately from its own stable cell alone. [audit] is fed as
+    in {!Runner.run}; the wrapper's own [Announce]/[Transfer] traffic is
+    not passive. *)

@@ -15,9 +15,12 @@ val run :
   ?trace:Simkit.Trace.t ->
   ?obs:Simkit.Obs.sink ->
   ?spans:Simkit.Obs.sink ->
+  ?audit:Simkit.Audit.t ->
   Spec.t ->
   Protocol.t ->
   report
+(** [audit] is fed the run's events as they happen, with the protocol's
+    [passive] predicate (see {!Simkit.Kernel.config}). *)
 
 val survivors : report -> int
 (** Processes that terminated (did not crash). *)

@@ -23,11 +23,15 @@ type 'm config = {
   show : 'm -> string;
   spans : Obs.sink option;
   tamper : 'm tamper_model option;
+  audit : Audit.t option;
+  passive : 'm -> bool;
 }
 
 let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?trace ?obs
-    ?(show = fun _ -> "<msg>") ?spans ?tamper ~n_processes ~n_units () =
-  { n_processes; n_units; fault; max_rounds; trace; obs; show; spans; tamper }
+    ?(show = fun _ -> "<msg>") ?spans ?tamper ?audit
+    ?(passive = fun _ -> false) ~n_processes ~n_units () =
+  { n_processes; n_units; fault; max_rounds; trace; obs; show; spans; tamper;
+    audit; passive }
 
 (* One round loop for every adversary. A processed round visits, in pid
    order, only the pids something can happen to: those with a wakeup due,
@@ -43,7 +47,8 @@ let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?trace ?obs
    exactly when a sweep over all t pids would have observed it. Nothing is
    ever scanned per round, the loop allocates nothing of its own (a
    non-trivial plan is handed one step view per step), and every trace/obs
-   event is constructed only when a sink is attached. *)
+   event is constructed only when a sink is attached. The audit checker is
+   fed at the same sites, behind the same one-boolean guard. *)
 
 (* Binary min-heap of (round, pid) pairs, lexicographic, on growable int
    arrays. Entries are never removed early: callers validate what pops. *)
@@ -113,6 +118,10 @@ let run ?recover ?metrics cfg proc =
   let consult_plan = not (Fault.is_trivial cfg.fault) in
   let observing = Option.is_some cfg.trace || Option.is_some cfg.obs in
   let has_obs = Option.is_some cfg.obs in
+  let audit = cfg.audit in
+  (* Something listens for execution events: a trace, an obs sink or an
+     audit checker. *)
+  let noting = observing || Option.is_some audit in
   let statuses = Array.make t Running in
   let alive pid = match statuses.(pid) with Running -> true | _ -> false in
 
@@ -174,6 +183,41 @@ let run ?recover ?metrics cfg proc =
     match cfg.obs with Some sink -> sink (Obs.of_trace_event e) | None -> ()
   in
   let obs_ev e = match cfg.obs with Some sink -> sink e | None -> () in
+  (* One note per execution event, for whoever listens ([noting]). *)
+  let note_stepped pid r =
+    if observing then trace_ev (Trace.Stepped { pid; round = r });
+    match audit with Some a -> Audit.stepped a ~pid ~round:r | None -> ()
+  in
+  let note_worked pid r u =
+    if observing then trace_ev (Trace.Worked { pid; round = r; unit_id = u });
+    match audit with
+    | Some a -> Audit.worked a ~pid ~round:r ~unit_id:u
+    | None -> ()
+  in
+  let note_sent pid r dst payload =
+    if observing then
+      trace_ev (Trace.Sent { src = pid; dst; round = r; what = cfg.show payload });
+    match audit with
+    | Some a -> Audit.sent a ~src:pid ~round:r ~passive:(cfg.passive payload)
+    | None -> ()
+  in
+  let note_dropped pid r dst payload =
+    if observing then
+      trace_ev (Trace.Dropped { src = pid; dst; round = r; what = cfg.show payload });
+    match audit with Some a -> Audit.dropped a ~round:r | None -> ()
+  in
+  let note_crashed pid r =
+    if observing then trace_ev (Trace.Crashed_ev { pid; round = r });
+    match audit with Some a -> Audit.crashed a ~pid ~round:r | None -> ()
+  in
+  let note_restarted pid r =
+    if observing then trace_ev (Trace.Restarted_ev { pid; round = r });
+    match audit with Some a -> Audit.restarted a ~pid ~round:r | None -> ()
+  in
+  let note_terminated pid r =
+    if observing then trace_ev (Trace.Terminated_ev { pid; round = r });
+    match audit with Some a -> Audit.terminated a ~pid ~round:r | None -> ()
+  in
   (* Incarnation counters for span context: 0 until the first restart. *)
   let incs = Array.make t 0 in
   let with_span ~name ~pid ~inc r f =
@@ -267,7 +311,7 @@ let run ?recover ?metrics cfg proc =
             Fault.note_restart cfg.fault pid r;
             arm pid;
             Metrics.record_restart metrics pid r;
-            trace_ev (Trace.Restarted_ev { pid; round = r })
+            if noting then note_restarted pid r
           end
       | _ -> pending := false
     done
@@ -310,23 +354,22 @@ let run ?recover ?metrics cfg proc =
     | [] -> ()
     | u :: rest ->
         Metrics.record_work metrics pid u;
-        if observing then trace_ev (Trace.Worked { pid; round = r; unit_id = u });
+        if noting then note_worked pid r u;
         commit_work pid r rest
   in
   let rec commit_sends pid r = function
     | [] -> ()
     | { dst; payload } :: rest ->
         Metrics.record_send metrics pid;
-        if observing then
-          trace_ev (Trace.Sent { src = pid; dst; round = r; what = cfg.show payload });
+        if noting then note_sent pid r dst payload;
         if dst >= 0 && dst < t then enqueue dst { src = pid; sent_at = r; payload };
         commit_sends pid r rest
   in
-  let rec trace_dropped pid r = function
+  let rec note_all_dropped pid r = function
     | [] -> ()
     | { dst; payload } :: rest ->
-        trace_ev (Trace.Dropped { src = pid; dst; round = r; what = cfg.show payload });
-        trace_dropped pid r rest
+        note_dropped pid r dst payload;
+        note_all_dropped pid r rest
   in
   let rec forge_loop pid r = function
     | [] -> ()
@@ -363,7 +406,7 @@ let run ?recover ?metrics cfg proc =
     let w = wakeups.(pid) in
     let due = w >= 0 && w <= r in
     if mail != [] || due then begin
-      if observing then trace_ev (Trace.Stepped { pid; round = r });
+      if noting then note_stepped pid r;
       let o =
         match cfg.spans with
         | None -> proc.step pid r states.(pid) mail
@@ -395,7 +438,7 @@ let run ?recover ?metrics cfg proc =
             wakeups.(pid) <- -1;
             retire pid;
             Metrics.record_terminate metrics pid r;
-            if observing then trace_ev (Trace.Terminated_ev { pid; round = r })
+            if noting then note_terminated pid r
           end
           else begin
             match o.wakeup with
@@ -416,10 +459,10 @@ let run ?recover ?metrics cfg proc =
           let keep_work = keep_work || delivered <> [] in
           if keep_work then commit_work pid r o.work;
           commit_sends pid r delivered;
-          if observing then trace_dropped pid r dropped;
+          if noting then note_all_dropped pid r dropped;
           crash pid r;
           Metrics.record_round metrics r;
-          if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
+          if noting then note_crashed pid r
     end
   in
   (* One live pid's turn in round [r]: a due silent crash, then a Byzantine
@@ -427,7 +470,7 @@ let run ?recover ?metrics cfg proc =
   let visit r pid mail =
     if silent_at.(pid) <= r then begin
       crash pid r;
-      if observing then trace_ev (Trace.Crashed_ev { pid; round = r })
+      if noting then note_crashed pid r
     end
     else if byz_at.(pid) <= r then begin
       (* Adversary-controlled: the protocol state is abandoned; the tamper

@@ -68,6 +68,15 @@ type 'm config = {
       (** enables the fault plan's [Corrupt]/[Byzantine] powers; without a
           model, corruptions are inert and Byzantine entries degrade to
           silent crashes at their activation round *)
+  audit : Audit.t option;
+      (** streaming invariant checker, fed every event [trace] would record,
+          in the same order, as it happens — no trace is built and no
+          payload rendered for it. It allocates nothing per event; [None]
+          (the default) costs one boolean test per event site. Forged
+          Byzantine traffic is not fed, as it is not traced. *)
+  passive : 'm -> bool;
+      (** which payloads an inactive process may send, for [audit]'s
+          [One_active] check (see {!Audit.check}); default: none *)
 }
 
 val config :
@@ -78,12 +87,15 @@ val config :
   ?show:('m -> string) ->
   ?spans:Obs.sink ->
   ?tamper:'m tamper_model ->
+  ?audit:Audit.t ->
+  ?passive:('m -> bool) ->
   n_processes:int ->
   n_units:int ->
   unit ->
   'm config
 (** Convenience constructor; defaults: no faults, [max_rounds = max_int / 2],
-    no trace, no observability sink, no span sink, no tamper model.
+    no trace, no observability sink, no span sink, no tamper model, no
+    audit checker.
 
     With a tamper model, a pid listed by {!Fault.byzantine_from} stops
     running the protocol from its activation round: each round it emits

@@ -1,39 +1,56 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes, read and written with
+   the native-endian 64-bit byte primitives; a mutable [int64] field would
+   box a fresh state on every draw. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let copy g = { state = g.state }
+let create seed =
+  let g = Bytes.create 8 in
+  set_state g 0 seed;
+  g
+
+let copy = Bytes.copy
 
 (* splitmix64: state advances by the golden gamma; output is the mixed state. *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  let z = g.state in
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_nonneg g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2)
+let[@inline] advance g =
+  let z = Int64.add (get_state g 0) golden_gamma in
+  set_state g 0 z;
+  z
+
+let next_int64 g = mix (advance g)
+
+let next_nonneg g = Int64.to_int (Int64.shift_right_logical (mix (advance g)) 2)
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let max_usable = 0x3FFFFFFFFFFFFFFF - (0x3FFFFFFFFFFFFFFF mod bound) in
-  let rec draw () =
-    let v = next_nonneg g in
-    if v >= max_usable then draw () else v mod bound
-  in
-  draw ()
+  (* Rejection sampling to avoid modulo bias: a draw at or above
+     [max_usable = max - (max mod bound)] is redrawn. Every such draw
+     exceeds [max - bound], so the division that computes [max_usable] is
+     spent only on the rare draw above that. *)
+  let max = 0x3FFFFFFFFFFFFFFF in
+  let v = ref (next_nonneg g) in
+  while !v > max - bound && !v >= max - (max mod bound) do
+    v := next_nonneg g
+  done;
+  !v mod bound
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let bool g = Int64.logand (next_int64 g) 1L = 1L
+let bool g = Int64.logand (mix (advance g)) 1L = 1L
 
 let float g bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (mix (advance g)) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
 let bernoulli g p =

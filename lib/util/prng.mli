@@ -7,7 +7,8 @@
     schedules and property-test case generation. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: {!int}, {!int_in}, {!bool} and
+    {!float} draws allocate nothing. *)
 
 val create : int64 -> t
 (** [create seed] returns a fresh generator. Distinct seeds give independent

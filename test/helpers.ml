@@ -44,8 +44,8 @@ let assert_one_active ?(is_passive = fun _ -> false) name trace =
     [ Simkit.Audit.well_formed; Simkit.Audit.at_most_one_active ~passive_msg:is_passive ]
     name trace
 
-let b_passive what = what = "go_ahead"
-let c_passive what = what = "alive"
+let b_passive what = String.equal what Doall.Protocol_b.(show_msg Go_ahead)
+let c_passive what = String.equal what Doall.Protocol_c.(show_msg Alive)
 
 (* A random silent-crash schedule that always spares at least one process. *)
 let random_schedule g ~t ~window =

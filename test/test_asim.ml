@@ -866,6 +866,193 @@ let test_async_campaign_clean_and_deterministic () =
   Alcotest.(check int) "all judged" 40 a.Simkit.Campaign.schedules;
   Alcotest.(check bool) "deterministic in seed" true (go () = a)
 
+(* ---- the substrate against its reference --------------------------- *)
+
+(* The event queue, [Link.harden], [Heartbeat] and [Prng] against the
+   versions in Ref_async (a map-of-lists queue, a state record copied per
+   event, boxed deadlines, a boxed generator): on sampled crash and
+   Byzantine schedules, plain and validated, both must produce the same
+   [Event_sim.result] and the same [Link.stats], logs included. *)
+module CA = Simkit.Campaign.Async
+
+type sub_case = { sn : int; st : int; validated : bool; observed : bool; sched : CA.t }
+
+let sub_case_to_string c =
+  Printf.sprintf "n=%d t=%d %s%s\n%s" c.sn c.st
+    (if c.validated then "validated" else "hardened")
+    (if c.observed then " observed" else "")
+    (CA.print c.sched)
+
+let gen_sub_case =
+  let open QCheck2.Gen in
+  let* st = int_range 1 8 in
+  let* sn = int_range 1 60 in
+  let* validated = bool in
+  let* observed = bool in
+  let* byz = int_range (-1) (max 0 ((st - 1) / 2)) in
+  (* long windows put crashes beyond the queue's ring horizon *)
+  let* stretch = int_range 1 4 in
+  let* seed = no_shrink int in
+  let g = Prng.create (Int64.of_int seed) in
+  let window = ((4 * sn) + 20) * stretch in
+  let sched =
+    if byz < 0 then CA.sample g ~t:st ~window else CA.sample_byz g ~t:st ~window ~byz
+  in
+  return { sn; st; validated; observed; sched }
+
+let substrate_view c (r : E.result) (s : Asim.Link.stats) events =
+  let triples l =
+    String.concat ";" (List.map (fun (a, b, c) -> Printf.sprintf "%d,%d,%d" a b c) l)
+  in
+  [
+    ("outcome", Format.asprintf "%a" E.pp_outcome r.E.outcome);
+    ( "statuses",
+      String.concat " "
+        (Array.to_list (Array.map Simkit.Types.status_to_string r.E.statuses)) );
+    ( "net",
+      Printf.sprintf "sent=%d dropped=%d duplicated=%d" r.E.net.E.sent
+        r.E.net.E.dropped r.E.net.E.duplicated );
+  ]
+  @ List.map
+      (fun (k, v) -> ("metric " ^ k, string_of_int v))
+      (Test_kernel_diff.readers r.E.metrics ~n:c.sn ~t:c.st)
+  @ List.map
+      (fun (k, v) -> ("stats " ^ k, string_of_int v))
+      Asim.Link.
+        [
+          ("data_sent", s.data_sent); ("retransmits", s.retransmits);
+          ("acks_sent", s.acks_sent); ("beats_sent", s.beats_sent);
+          ("dups_suppressed", s.dups_suppressed); ("recoveries", s.recoveries);
+          ("suspicions", s.suspicions); ("false_suspicions", s.false_suspicions);
+          ("unsuspects", s.unsuspects); ("abandoned", s.abandoned);
+        ]
+  @ [
+      ("stats notices", triples s.Asim.Link.notices);
+      ("stats suspect_log", triples s.Asim.Link.suspect_log);
+      ("stats unsuspect_log", triples s.Asim.Link.unsuspect_log);
+    ]
+  @ List.mapi
+      (fun i e ->
+        (Printf.sprintf "obs event %d" i, Dhw_util.Jsonw.to_string (Simkit.Obs.event_to_json e)))
+      (List.rev events)
+
+let substrate_agrees c =
+  let spec = Doall.Spec.make ~n:c.sn ~t:c.st in
+  let sched = c.sched in
+  let crash_at = List.map (fun (x : CA.crash) -> (x.CA.victim, x.CA.at)) sched.CA.crashes in
+  let byz = List.map (fun (x : CA.crash) -> (x.CA.victim, x.CA.at)) sched.CA.byz in
+  let link = Asim.Async_fuzz.link_of_schedule sched in
+  let max_ticks = 20_000 in
+  let max_delay = sched.CA.max_delay and max_lag = sched.CA.max_lag in
+  let seed = sched.CA.seed in
+  let stats = Asim.Link.stats () and ref_stats = Asim.Link.stats () in
+  let events = ref [] and ref_events = ref [] in
+  let sink l = if c.observed then Some (fun e -> l := e :: !l) else None in
+  let obs = sink events and ref_obs = sink ref_events in
+  let fresh, reference =
+    if c.validated then
+      ( Asim.Async_protocol_a.run_validated ~crash_at ~max_delay ~max_lag ~seed ~link
+          ~stats ~max_ticks ~byz ?obs spec,
+        Ref_async.run_validated ~crash_at ~max_delay ~max_lag ~seed ~link
+          ~stats:ref_stats ~max_ticks ~byz ?obs:ref_obs spec )
+    else
+      ( Asim.Async_protocol_a.run_hardened ~crash_at ~max_delay ~max_lag ~seed ~link
+          ~stats ~max_ticks ~byz ?obs spec,
+        Ref_async.run_hardened ~crash_at ~max_delay ~max_lag ~seed ~link
+          ~stats:ref_stats ~max_ticks ~byz ?obs:ref_obs spec )
+  in
+  let a = substrate_view c fresh stats !events
+  and b = substrate_view c reference ref_stats !ref_events in
+  if List.length a <> List.length b then
+    QCheck2.Test.fail_reportf "%s\n%d observations, reference %d" (sub_case_to_string c)
+      (List.length a) (List.length b);
+  match List.find_opt (fun ((k, x), (_, y)) -> ignore k; x <> y) (List.combine a b) with
+  | None -> true
+  | Some ((k, x), (_, y)) ->
+      QCheck2.Test.fail_reportf "%s\n%s: substrate %s, reference %s"
+        (sub_case_to_string c) k x y
+
+let prop_substrate_reference =
+  Helpers.qcheck_case ~count:300
+    ~name:"substrate = reference on sampled crash and byz schedules"
+    gen_sub_case substrate_agrees
+
+(* Items queued beyond the ring horizon wait in the far map and must reach
+   their tick's bucket in queue order: three false suspicions and three
+   continuations land on tick 300, and a crash on tick 301, queued while
+   the run is at tick 0. *)
+let test_far_items_keep_order () =
+  let run runner =
+    let log = ref [] in
+    let proc =
+      {
+        E.a_init = (fun _ -> ());
+        a_handle =
+          (fun pid now () ev ->
+            let what =
+              match ev with
+              | E.Started -> "start"
+              | E.Got _ -> "got"
+              | E.Retired_notice q -> Printf.sprintf "notice %d" q
+              | E.Continue -> "continue"
+            in
+            log := Printf.sprintf "%d@%d %s" pid now what :: !log;
+            {
+              E.state = ();
+              sends = [];
+              work = [];
+              terminate = now >= 300 && ev = E.Continue;
+              continue_after = (if ev = E.Started then Some (300 - now) else None);
+            });
+      }
+    in
+    let cfg =
+      E.config ~n_processes:3 ~n_units:1 ~oracle_detector:false
+        ~false_suspicions:[ (2, 1, 300); (1, 0, 300); (0, 2, 300) ]
+        ~crash_at:[ (1, 301) ] ()
+    in
+    let r = runner cfg proc in
+    (List.rev !log, Format.asprintf "%a" E.pp_outcome r.E.outcome)
+  in
+  let fresh = run (fun cfg p -> E.run cfg p)
+  and reference = run (fun cfg p -> Ref_async.Event_sim.run cfg p) in
+  Alcotest.(check (pair (list string) string)) "same deliveries as the reference"
+    reference fresh;
+  Alcotest.(check (list string)) "tick 300 in queue order"
+    [ "2@300 notice 1"; "1@300 notice 0"; "0@300 notice 2"; "0@300 continue";
+      "1@300 continue"; "2@300 continue" ]
+    (List.filter
+       (fun l -> String.ends_with ~suffix:"@300" (List.hd (String.split_on_char ' ' l)))
+       (fst fresh))
+
+(* The unboxed generator against the boxed one: raw draws, bounded draws
+   (bounds near 2^62 make rejection likely), copies, splits and streams. *)
+let prop_prng_reference =
+  let module R = Ref_async.Prng in
+  let bounds =
+    [ 1; 2; 3; 7; 10_000; max_int / 3; (1 lsl 61) + 1; 0x3FFFFFFFFFFFFFFF ]
+  in
+  Helpers.qcheck_case ~count:200 ~name:"Prng = boxed reference"
+    QCheck2.Gen.(pair int64 (int_range 0 1000))
+    (fun (seed, i) ->
+      let g = Prng.create seed and r = R.create seed in
+      let raw = List.init 20 (fun _ -> (Prng.next_int64 g, R.next_int64 r)) in
+      let bounded =
+        List.concat_map
+          (fun b -> List.init 20 (fun _ -> (Prng.int g b, R.int r b)))
+          bounds
+      in
+      let gc = Prng.copy g and rc = R.copy r in
+      let copied = List.init 10 (fun _ -> (Prng.int gc 97, R.int rc 97)) in
+      let after_copy = List.init 10 (fun _ -> (Prng.int g 97, R.int r 97)) in
+      let gs = Prng.split g and rs = R.split r in
+      let split = List.init 10 (fun _ -> (Prng.next_int64 gs, R.next_int64 rs)) in
+      let gs = Prng.stream seed i and rs = R.stream seed i in
+      let streamed = List.init 10 (fun _ -> (Prng.next_int64 gs, R.next_int64 rs)) in
+      let same l = List.for_all (fun (x, y) -> x = y) l in
+      same raw && same bounded && same copied && same after_copy && same split
+      && same streamed)
+
 let suite =
   [
     Alcotest.test_case "message delays bounded" `Quick test_message_delay_bounds;
@@ -923,4 +1110,8 @@ let suite =
     prop_false_suspicions_duplicate_boundedly;
     Alcotest.test_case "async campaign: clean and deterministic" `Quick
       test_async_campaign_clean_and_deterministic;
+    prop_substrate_reference;
+    Alcotest.test_case "event sim: far-ahead items keep queue order" `Quick
+      test_far_items_keep_order;
+    prop_prng_reference;
   ]

@@ -1,8 +1,12 @@
 (* The Simkit.Audit checkers themselves: they must accept clean traces and
-   flag synthetically corrupted ones. *)
+   flag synthetically corrupted ones, give the post-hoc reference's
+   violation lists (Ref_audit) whether the kernel feeds them or a trace is
+   replayed through them, and cost nothing per event. *)
 
 module T = Simkit.Trace
 module A = Simkit.Audit
+module C = Simkit.Campaign
+module Fuzz = Doall.Fuzz
 
 let mk events =
   let tr = T.create () in
@@ -115,6 +119,303 @@ let test_real_traces_clean () =
       (Doall.Baseline_checkpoint.protocol ~period:2, fun _ -> false);
     ]
 
+(* ---- the streaming checker against the post-hoc reference ----------- *)
+
+let render pp vs = List.map (Format.asprintf "%a" pp) vs
+let texts vs = render A.pp_violation vs
+let ref_texts vs = render Ref_audit.pp_violation vs
+
+let same_lists what ~streaming ~reference =
+  if streaming <> reference then
+    QCheck2.Test.fail_reportf "%s: streaming [%s], reference [%s]" what
+      (String.concat "; " streaming) (String.concat "; " reference)
+
+type subject = P of Doall.Protocol.t | Rec of Doall.Recovery.which
+
+type plan =
+  | Sampled of C.Schedule.t
+  | Random of { seed : int64; victims : int; window : int }
+
+let subjects =
+  [|
+    ("A", P Doall.Protocol_a.protocol, fun _ -> false);
+    ("B", P Doall.Protocol_b.protocol, Helpers.b_passive);
+    ("C", P Doall.Protocol_c.protocol, Helpers.c_passive);
+    ("C-chunked", P Doall.Protocol_c.protocol_chunked, Helpers.c_passive);
+    ("A+rec", Rec Doall.Recovery.A, fun _ -> false);
+    ("B+rec", Rec Doall.Recovery.B, Helpers.b_passive);
+  |]
+
+type case = { subject : int; n : int; t : int; plan : plan }
+
+let case_to_string c =
+  let name, _, _ = subjects.(c.subject) in
+  Printf.sprintf "%s n=%d t=%d %s" name c.n c.t
+    (match c.plan with
+    | Sampled s -> C.Schedule.print s
+    | Random { seed; victims; window } ->
+        Printf.sprintf "Fault.random seed=%Ld victims=%d window=%d" seed victims
+          window)
+
+(* Protocol C's deadlines grow as 2^(n+t), so its instances stay small. *)
+let gen_case =
+  let open QCheck2.Gen in
+  let* subject = int_range 0 (Array.length subjects - 1) in
+  let c_family = subject = 2 || subject = 3 in
+  let* t = int_range 1 (if c_family then 6 else 10) in
+  let* n = int_range 1 (if c_family then 14 else 40) in
+  let* seed = no_shrink int in
+  let* family = int_range 0 2 in
+  let g = Dhw_util.Prng.create (Int64.of_int seed) in
+  let window = (2 * Dhw_util.Intmath.ceil_div n t) + 8 in
+  let plan =
+    match family with
+    | 0 -> Sampled (C.sample g ~t ~window)
+    | 1 -> Sampled (C.sample_recovery g ~t ~window ~restart_gap:(1 + Dhw_util.Prng.int g 6))
+    | _ ->
+        Random
+          { seed = Int64.of_int seed; victims = Dhw_util.Prng.int g t; window }
+  in
+  return { subject; n; t; plan }
+
+(* How many cases each check flagged. The kernel is well-formed and the
+   protocols perform first performances in order even under restarts, so
+   real runs flag only one-active (under restarts a rejoiner may overlap the
+   active process); a law that never flags it has compared only empty
+   lists. The replay laws below cover non-empty lists of all three. *)
+let flagged = Array.make 3 0
+let all_checks = [ A.Well_formed; A.One_active; A.Monotone ]
+
+let agree c =
+  let _, subject, passive_msg = subjects.(c.subject) in
+  let spec = Doall.Spec.make ~n:c.n ~t:c.t in
+  let fault =
+    match c.plan with
+    | Sampled s -> C.Schedule.to_fault s
+    | Random { seed; victims; window } -> Simkit.Fault.random ~seed ~t:c.t ~victims ~window
+  in
+  let trace = T.create () in
+  let audit = A.create ~processes:c.t ~units:c.n () in
+  let max_rounds = 1_000_000 in
+  (match subject with
+  | P proto -> ignore (Doall.Runner.run ~fault ~max_rounds ~trace ~audit spec proto)
+  | Rec which -> ignore (Doall.Recovery.run ~fault ~max_rounds ~trace ~audit spec which));
+  List.iteri
+    (fun i (check, name, reference) ->
+      let streaming = texts (A.violations audit check) in
+      if streaming <> [] then flagged.(i) <- flagged.(i) + 1;
+      same_lists
+        (name ^ " on " ^ case_to_string c)
+        ~streaming ~reference:(ref_texts (reference trace)))
+    [
+      (A.Well_formed, "well-formed", Ref_audit.well_formed);
+      (A.One_active, "one-active", Ref_audit.at_most_one_active ~passive_msg);
+      (A.Monotone, "monotone", Ref_audit.work_is_monotone);
+    ];
+  true
+
+let kernel_law =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:600
+         ~name:"kernel-fed checker = post-hoc reference on random runs" gen_case agree)
+  in
+  let run () =
+    run ();
+    Printf.printf "cases flagged: well-formed %d, one-active %d, monotone %d\n"
+      flagged.(0) flagged.(1) flagged.(2);
+    if flagged.(1) = 0 then
+      Alcotest.fail "no run violated one-active: the law compared only empty lists"
+  in
+  (name, speed, run)
+
+(* Hand-built traces, possibly malformed, through the replay front end. With
+   non-decreasing rounds all three checks must match the reference; with
+   rounds that may go backwards, well-formed and monotone still must (see
+   [Audit.One_active] for where one-active may then differ). *)
+let gen_trace ~monotone_rounds =
+  let open QCheck2.Gen in
+  let pid = int_range 0 3 in
+  let* len = int_range 0 30 in
+  let* steps =
+    list_repeat len
+      (triple (int_range 0 6)
+         (if monotone_rounds then int_range 0 1 else int_range 0 5)
+         (triple pid pid (int_range 0 5)))
+  in
+  let b_go = Doall.Protocol_b.(show_msg Go_ahead) in
+  let _, events =
+    List.fold_left
+      (fun (r, acc) (kind, dr, (p, q, u)) ->
+        let round = if monotone_rounds then r + dr else dr in
+        let what = if u < 2 then b_go else "ord" in
+        let ev =
+          match kind with
+          | 0 -> T.Stepped { pid = p; round }
+          | 1 -> T.Sent { src = p; dst = q; round; what }
+          | 2 -> T.Dropped { src = p; dst = q; round; what }
+          | 3 -> T.Worked { pid = p; round; unit_id = u }
+          | 4 -> T.Crashed_ev { pid = p; round }
+          | 5 -> T.Restarted_ev { pid = p; round }
+          | _ -> T.Terminated_ev { pid = p; round }
+        in
+        (round, ev :: acc))
+      (0, []) steps
+  in
+  return (List.rev events)
+
+let print_trace events =
+  String.concat "\n" (List.map (Format.asprintf "%a" T.pp_event) events)
+
+let replay_agrees ~monotone_rounds events =
+  let tr = mk events in
+  let b = Fuzz.trace_audit ~protocol:"b" tr in
+  let pairs =
+    [
+      ("well-formed", texts (A.violations b A.Well_formed), Ref_audit.well_formed tr);
+      ("monotone", texts (A.violations b A.Monotone), Ref_audit.work_is_monotone tr);
+      ( "monotone (trace front end)",
+        texts (A.work_is_monotone tr),
+        Ref_audit.work_is_monotone tr );
+      ("well-formed (trace front end)", texts (A.well_formed tr), Ref_audit.well_formed tr);
+    ]
+    @
+    if monotone_rounds then
+      [
+        ( "one-active (B's passive rendering)",
+          texts (A.violations b A.One_active),
+          Ref_audit.at_most_one_active ~passive_msg:Helpers.b_passive tr );
+        ( "one-active (nothing passive)",
+          texts (A.at_most_one_active tr),
+          Ref_audit.at_most_one_active tr );
+      ]
+    else []
+  in
+  List.iter
+    (fun (what, streaming, reference) ->
+      same_lists (what ^ " on\n" ^ print_trace events) ~streaming
+        ~reference:(ref_texts reference))
+    pairs;
+  true
+
+let replay_law ~monotone_rounds =
+  Helpers.qcheck_case ~count:500
+    ~name:
+      (if monotone_rounds then "replayed traces = reference (rounds forward)"
+       else "replayed traces = reference (rounds may go back)")
+    (gen_trace ~monotone_rounds) (replay_agrees ~monotone_rounds)
+
+let check_same what events =
+  let tr = mk events in
+  let b = Fuzz.trace_audit ~protocol:"b" tr in
+  List.iter
+    (fun (check, reference) ->
+      Alcotest.(check (list string)) what (ref_texts reference) (texts (A.violations b check)))
+    [
+      (A.Well_formed, Ref_audit.well_formed tr);
+      (A.One_active, Ref_audit.at_most_one_active ~passive_msg:Helpers.b_passive tr);
+      (A.Monotone, Ref_audit.work_is_monotone tr);
+    ]
+
+let test_malformed_replays () =
+  let b_go = Doall.Protocol_b.(show_msg Go_ahead) in
+  check_same "double retire"
+    [ T.Crashed_ev { pid = 1; round = 2 }; T.Terminated_ev { pid = 1; round = 3 } ];
+  check_same "restart of a live pid" [ T.Restarted_ev { pid = 0; round = 1 } ];
+  check_same "restart of a terminated pid"
+    [ T.Terminated_ev { pid = 2; round = 1 }; T.Restarted_ev { pid = 2; round = 4 };
+      T.Stepped { pid = 2; round = 5 } ];
+  check_same "restart revives a crashed pid"
+    [ T.Crashed_ev { pid = 0; round = 1 }; T.Restarted_ev { pid = 0; round = 3 };
+      T.Worked { pid = 0; round = 3; unit_id = 0 } ];
+  check_same "two actives in one round, and a passive go-ahead"
+    [ T.Worked { pid = 0; round = 4; unit_id = 0 };
+      T.Sent { src = 1; dst = 0; round = 4; what = b_go };
+      T.Sent { src = 2; dst = 0; round = 4; what = "x" } ];
+  check_same "late lower first performance"
+    [ T.Worked { pid = 0; round = 1; unit_id = 3 };
+      T.Worked { pid = 1; round = 2; unit_id = 1 };
+      T.Worked { pid = 1; round = 3; unit_id = 3 } ];
+  let backwards =
+    [ T.Stepped { pid = 0; round = 5 }; T.Stepped { pid = 1; round = 3 } ]
+  in
+  check_same "a backwards round" backwards;
+  Alcotest.(check (list string)) "the backwards step is named"
+    [ "[r3] trace goes backwards (previous round 5)" ]
+    (texts (A.well_formed (mk backwards)))
+
+(* Where the streaming one-active and the per-round table part: a round the
+   trace returns to is started afresh. Well-formed rejects such a trace. *)
+let test_backwards_one_active () =
+  let tr =
+    mk
+      [ T.Worked { pid = 0; round = 4; unit_id = 0 };
+        T.Worked { pid = 1; round = 5; unit_id = 1 };
+        T.Worked { pid = 2; round = 4; unit_id = 2 } ]
+  in
+  Alcotest.(check (list string)) "the table remembers round 4"
+    [ "[r4] two active processes: 0 and 2" ]
+    (ref_texts (Ref_audit.at_most_one_active tr));
+  Alcotest.(check (list string)) "the checker started round 4 afresh" []
+    (texts (A.at_most_one_active tr));
+  Alcotest.(check int) "well-formed flags the trace" 1 (List.length (A.well_formed tr))
+
+(* ---- what the checker costs --------------------------------------- *)
+
+(* A one-process run of [rounds] rounds whose step allocates nothing: every
+   outcome is built before the run. *)
+let silent_run ?audit ~n rounds =
+  let outcomes =
+    Array.init rounds (fun r ->
+        {
+          Simkit.Types.state = ();
+          sends = [];
+          work = [ r ];
+          terminate = r = rounds - 1;
+          wakeup = Some (r + 1);
+        })
+  in
+  let proc =
+    { Simkit.Types.init = (fun _ -> ((), Some 0)); step = (fun _ r () _ -> outcomes.(r)) }
+  in
+  let cfg = Simkit.Kernel.config ?audit ~n_processes:1 ~n_units:n () in
+  let before = Gc.minor_words () in
+  let res = Simkit.Kernel.run cfg proc in
+  let words = Gc.minor_words () -. before in
+  assert (res.Simkit.Kernel.outcome = Simkit.Kernel.Completed);
+  words
+
+let test_costs () =
+  let n = 8192 in
+  let per_round ?audit () =
+    let short = silent_run ?audit:(Option.map (fun f -> f ()) audit) ~n 2048 in
+    let long = silent_run ?audit:(Option.map (fun f -> f ()) audit) ~n 8192 in
+    (long -. short) /. 6144.
+  in
+  Alcotest.(check (float 0.01)) "disarmed: 0 words per round" 0. (per_round ());
+  Alcotest.(check (float 0.01)) "armed: still 0 words per round" 0.
+    (per_round ~audit:(fun () -> A.create ~processes:1 ~units:n ()) ());
+  (* A at n = 10^4, t = 100: ~10^4 work events and more sends, one
+     checker of O(t + n) words *)
+  let n = 10_000 and t = 100 in
+  let spec = Doall.Spec.make ~n ~t in
+  let words ?audit () =
+    let before = Gc.minor_words () in
+    let r = Doall.Runner.run ?audit spec Doall.Protocol_a.protocol in
+    let w = Gc.minor_words () -. before in
+    Helpers.check_correct "A" r;
+    w
+  in
+  let disarmed = words () in
+  let audit = A.create ~processes:t ~units:n () in
+  let armed = words ~audit () in
+  Alcotest.(check (list string)) "the run is clean" []
+    (List.concat_map (fun c -> texts (A.violations audit c)) all_checks);
+  let state = t + (n / 64) in
+  if armed -. disarmed > float_of_int (state + 300) then
+    Alcotest.failf "arming the checker cost %.0f minor words (state %d + 300 allowed)"
+      (armed -. disarmed) state
+
 let suite =
   [
     Alcotest.test_case "well-formed: accepts clean" `Quick test_well_formed_accepts;
@@ -125,4 +426,11 @@ let suite =
     Alcotest.test_case "one-active: passive classifier" `Quick test_one_active_respects_passive;
     Alcotest.test_case "monotone work" `Quick test_monotone_work;
     Alcotest.test_case "real traces audit clean" `Quick test_real_traces_clean;
+    Alcotest.test_case "malformed traces replay as the reference" `Quick
+      test_malformed_replays;
+    Alcotest.test_case "one-active on a backwards trace" `Quick test_backwards_one_active;
+    Alcotest.test_case "disarmed and armed costs" `Quick test_costs;
+    kernel_law;
+    replay_law ~monotone_rounds:true;
+    replay_law ~monotone_rounds:false;
   ]

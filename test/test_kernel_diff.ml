@@ -176,7 +176,7 @@ let run_case k c =
         | D -> Doall.Protocol_d.protocol
         | _ -> Doall.Protocol_d_coord.protocol
       in
-      let (Doall.Protocol.Packed { proc; show }) = p.make spec in
+      let (Doall.Protocol.Packed { proc; show; _ }) = p.make spec in
       observe k ~n ~t ~fault ~show ~metrics:(fresh ()) ~max_rounds proc
   | A_tamper ->
       observe k ~n ~t ~fault ~tamper:(Doall.Validate.tamper_plain grid)

@@ -67,7 +67,7 @@ let tally = { cases = 0; reverts = 0; mixes = 0; stashes = 0 }
 
 let agree c =
   let spec = Doall.Spec.make ~n:c.n ~t:c.t in
-  let (Doall.Protocol.Packed { proc; show }) =
+  let (Doall.Protocol.Packed { proc; show; _ }) =
     (Doall.Protocol_d.protocol_with_alpha ~alpha:c.alpha ~name:"D").make spec
   in
   let lib = observe c ~show proc in
@@ -130,7 +130,7 @@ let law =
    the same payload value, built once. *)
 let test_shared_payload () =
   let spec = Doall.Spec.make ~n:60 ~t:8 in
-  let (Doall.Protocol.Packed { proc; show = _ }) = Doall.Protocol_d.protocol.make spec in
+  let (Doall.Protocol.Packed { proc; _ }) = Doall.Protocol_d.protocol.make spec in
   let broadcasts = ref 0 in
   let step pid r st inbox =
     let o = proc.step pid r st inbox in
