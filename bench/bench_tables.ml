@@ -1424,6 +1424,9 @@ type scale_row = {
   sc_wall_s : float;
   sc_words_per_round : float;
   sc_words_per_effort : float;
+  sc_promoted_per_msg : float;
+      (* words promoted to the major heap per message, from Gc.quick_stat:
+         what a message in flight keeps alive across minor collections *)
   sc_ok : bool;
 }
 
@@ -1456,9 +1459,11 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) () =
           let spec = Doall.Spec.make ~n ~t in
           let fault = Option.map (fun f -> f ()) fault in
           let t0 = Unix.gettimeofday () in
+          let promoted0 = (Gc.quick_stat ()).promoted_words in
           let before = Gc.minor_words () in
           let r = run ?fault spec proto in
           let words = Gc.minor_words () -. before in
+          let promoted = (Gc.quick_stat ()).promoted_words -. promoted0 in
           let wall = Unix.gettimeofday () -. t0 in
           let rounds = max 1 (m_rounds r) in
           let wpr = words /. float_of_int rounds in
@@ -1477,7 +1482,9 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) () =
             ];
           rows :=
             { sc_proto = name; sc_n = n; sc_wall_s = wall;
-              sc_words_per_round = wpr; sc_words_per_effort = wpe; sc_ok = ok }
+              sc_words_per_round = wpr; sc_words_per_effort = wpe;
+              sc_promoted_per_msg = promoted /. float_of_int (max 1 (m_msgs r));
+              sc_ok = ok }
             :: !rows)
         scales;
       Table.add_rule table)
@@ -1520,10 +1527,14 @@ let scale () =
    n=10^6 run gets the wall budget and the words/effort ceiling, which
    bounds the cost of each agreement message, but not the words/round
    ceiling: its n/t rounds each carry t steps, and its two agreement
-   rounds the t^2 messages. Returns the violations; [] = within budget. *)
+   rounds the t^2 messages. D's run also gets a promoted-words ceiling per
+   message: a message in flight is a kernel buffer slot and its envelope
+   is shared by the whole broadcast, so its ~2t^2 messages must not drag
+   per-message blocks into the major heap. Returns the violations; [] =
+   within budget. *)
 let scale_smoke () =
   let wall_budget_s = 60. and words_per_round_ceiling = 256.
-  and words_per_effort_ceiling = 64. in
+  and words_per_effort_ceiling = 64. and promoted_per_msg_ceiling = 2. in
   reset ();
   let rows = e25 ~scales:[ 100_000; 1_000_000 ] () in
   let violations = ref [] in
@@ -1533,7 +1544,7 @@ let scale_smoke () =
       if not sc.sc_ok then add "%s n=%d: run incorrect" sc.sc_proto sc.sc_n)
     rows;
   List.iter
-    (fun (proto, per_round) ->
+    (fun (proto, per_round, per_msg_promoted) ->
       match
         List.find_opt (fun sc -> sc.sc_proto = proto && sc.sc_n = 1_000_000) rows
       with
@@ -1547,7 +1558,17 @@ let scale_smoke () =
               proto sc.sc_words_per_round words_per_round_ceiling;
           if sc.sc_words_per_effort > words_per_effort_ceiling then
             add "%s n=1000000 allocates %.1f minor words/effort > ceiling %.0f"
-              proto sc.sc_words_per_effort words_per_effort_ceiling)
-    [ ("A", true); ("B", true); ("D", false); ("A crash-storm", true);
-      ("B crash-storm", true) ];
+              proto sc.sc_words_per_effort words_per_effort_ceiling;
+          if per_msg_promoted && sc.sc_promoted_per_msg > promoted_per_msg_ceiling
+          then
+            add "%s n=1000000 promotes %.2f words/message > ceiling %.0f" proto
+              sc.sc_promoted_per_msg promoted_per_msg_ceiling)
+    [ ("A", true, false); ("B", true, false); ("D", false, true);
+      ("A crash-storm", true, false); ("B crash-storm", true, false) ];
+  List.iter
+    (fun sc ->
+      if sc.sc_n = 1_000_000 then
+        Printf.printf "%s n=1000000: %.2f promoted words/message\n" sc.sc_proto
+          sc.sc_promoted_per_msg)
+    rows;
   List.rev !violations

@@ -113,17 +113,24 @@ let protocol_with_alpha ~alpha ~name =
     let enter_revert ~s ~live pid r =
       let ra_units = s in
       let ra_ranks = Array.of_list (ISet.elements live) in
-      let sub_spec =
-        Spec.make ~n:(Uset.cardinal ra_units) ~t:(Array.length ra_ranks)
-      in
+      let k = Array.length ra_ranks in
+      let sub_spec = Spec.make ~n:(Uset.cardinal ra_units) ~t:k in
       let ra_grid = Grid.make sub_spec in
-      let ra_my_rank = grade live pid in
+      (* A pid outside T (an amnesiac rejoiner that adopted a done view
+         without it) has no A-rank of its own: it waits as the lowest-
+         priority waiter, rank k - 1, with a takeover slot after every
+         member's, so it only ever terminates on a knows-all-done view or
+         by finishing a takeover. Nobody maps its pid to a rank, so members
+         ignore its messages. *)
+      let member = ISet.mem pid live in
+      let ra_my_rank = if member then grade live pid else k - 1 in
+      let slot = if member then ra_my_rank else k in
       (* Deadlines are relative to each process's own agreement-completion
          round; completions skew by at most one round, absorbed by the +2. *)
       let base = r + 1 in
-      let ra_deadline = base + (ra_my_rank * (Grid.max_active_rounds ra_grid + 2)) in
+      let ra_deadline = base + (slot * (Grid.max_active_rounds ra_grid + 2)) in
       let ra = { ra_grid; ra_units; ra_ranks; ra_my_rank; ra_deadline } in
-      if ra_my_rank = 0 then
+      if slot = 0 then
         (RActive { ra; script = Ckpt_script.work_script ra_grid 0 1 }, Some base)
       else (RWaiting { ra; last = Ckpt_script.No_msg }, Some ra_deadline)
     in

@@ -76,10 +76,7 @@ let silent_from t pid =
 let crashed_by t pid round =
   match silent_from t pid with Some s -> round >= s | None -> false
 
-let on_step t view =
-  if crashed_by t view.sv_pid view.sv_round then
-    Crash { keep_work = false; delivery = Prefix 0 }
-  else t.plan_on_step view
+let on_step t view = t.plan_on_step view
 
 let note_crash t pid round =
   match Hashtbl.find_opt t.committed pid with

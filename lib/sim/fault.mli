@@ -155,8 +155,11 @@ val crashed_by : t -> pid -> round -> bool
     consulted before stepping by round sweeps that visit every pid. *)
 
 val on_step : t -> step_view -> decision
-(** Consulted when a live process is about to commit a round's outcome.
-    A pid for which {!crashed_by} holds is crashed without output. *)
+(** Consulted when a live process is about to commit a round's outcome:
+    the plan's decision alone. Precondition: the caller has ruled out a
+    pid for which {!crashed_by} holds at that round — {!Kernel} crashes
+    such a pid at its {!silent_from} event before it could step, and round
+    sweeps ask {!crashed_by} first. *)
 
 val note_crash : t -> pid -> round -> unit
 (** Kernel informs the plan that it committed the crash (so that

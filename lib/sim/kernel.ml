@@ -37,10 +37,13 @@ let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?trace ?obs
    order, only the pids something can happen to: those with a wakeup due,
    mail in their inbox, or a pending fault event. Wakeups and fault events
    live in two lazy (round, pid) min-heaps; inboxes are a pair of
-   preallocated per-destination arrays with touched-destination lists
-   (messages sent in round r go into one buffer while the other is
-   consumed, swapped each delivery). A fault event is a silent crash (the
-   plan's {!Fault.silent_from}, or a Byzantine entry without a tamper
+   per-destination growable envelope buffers with touched-destination
+   lists (messages sent in round r go into one buffer while the other is
+   consumed, swapped each delivery). A message in flight is a buffer slot:
+   consecutive sends of one step with the physically same payload share
+   one envelope, a receiver's list is built only when it steps, and the
+   buffers are reused round after round. A fault event is a silent crash
+   (the plan's {!Fault.silent_from}, or a Byzantine entry without a tamper
    model) or a Byzantine activation: it is pushed when the run starts and
    again when its pid is revived, surfaces at the first processed round at
    or after its round, and never creates a processed round of its own —
@@ -160,22 +163,84 @@ let run ?recover ?metrics cfg proc =
 
   (* Messages in flight: sent during [pending_sent_at] into buffer
      [pending_idx], delivered at [pending_sent_at + 1]. At most one round's
-     worth exists at any time, so two buffers suffice. *)
-  let bufs = [| Array.make t ([] : 'm envelope list); Array.make t [] |] in
+     worth exists at any time, so two buffers suffice. Each destination's
+     inbox is a growable envelope array, appended in visit order (senders
+     ascending) and reused from round to round: it grows by doubling and
+     never shrinks. A consumed inbox's used slots are overwritten with
+     [filler], so no delivered envelope stays reachable from a buffer; the
+     filler is a copy of the run's first envelope, made when the first
+     inbox grows, and holds only that one payload. *)
+  let bufs = [| Array.make t [||]; Array.make t [||] |] in
+  let lens = [| Array.make t 0; Array.make t 0 |] in
+  let filler = ref None in
   let touched = [| Array.make t 0; Array.make t 0 |] in
   let touched_n = [| 0; 0 |] in
   let pending_sent_at = ref (-1) in
   let pending_idx = ref 0 in
   let out_idx = ref 0 in
   let any_sent = ref false in
+  let grow (b : 'm envelope array array) dst len (env : 'm envelope) =
+    let fill =
+      match !filler with
+      | Some f -> f
+      | None ->
+          let f = { env with src = -1 } in
+          filler := Some f;
+          f
+    in
+    let bigger = Array.make (max 8 (2 * len)) fill in
+    Array.blit b.(dst) 0 bigger 0 len;
+    b.(dst) <- bigger;
+    bigger
+  in
   let enqueue dst env =
-    let b = bufs.(!out_idx) in
-    if b.(dst) == [] then begin
-      touched.(!out_idx).(touched_n.(!out_idx)) <- dst;
-      touched_n.(!out_idx) <- touched_n.(!out_idx) + 1
+    let oi = !out_idx in
+    let b = bufs.(oi) and ln = lens.(oi) in
+    let len = ln.(dst) in
+    if len = 0 then begin
+      touched.(oi).(touched_n.(oi)) <- dst;
+      touched_n.(oi) <- touched_n.(oi) + 1
     end;
-    b.(dst) <- env :: b.(dst);
+    let slots = b.(dst) in
+    let slots = if len < Array.length slots then slots else grow b dst len env in
+    slots.(len) <- env;
+    ln.(dst) <- len + 1;
     any_sent := true
+  in
+  (* [dst]'s inbox in buffer [idx] as the list its step receives: senders
+     ascending, and one sender's several messages in reverse send order —
+     the stable sort by sender of an inbox collected by consing, which is
+     what the round sweep delivers. A sender's messages are contiguous in
+     the buffer (each pid is visited once per round). *)
+  let inbox_of idx dst =
+    let slots = bufs.(idx).(dst) in
+    let acc = ref [] and i = ref (lens.(idx).(dst) - 1) in
+    while !i >= 0 do
+      let src = slots.(!i).src in
+      let lo = ref !i in
+      while !lo > 0 && slots.(!lo - 1).src = src do
+        decr lo
+      done;
+      for k = !lo to !i do
+        acc := slots.(k) :: !acc
+      done;
+      i := !lo - 1
+    done;
+    !acc
+  in
+  (* Forget buffer [idx]'s inboxes, consumed or not (crashed, retired and
+     Byzantine destinations lose their mail). *)
+  let clear_inboxes idx =
+    let ta = touched.(idx) and b = bufs.(idx) and ln = lens.(idx) in
+    (match !filler with
+    | Some f ->
+        for i = 0 to touched_n.(idx) - 1 do
+          let dst = ta.(i) in
+          Array.fill b.(dst) 0 ln.(dst) f;
+          ln.(dst) <- 0
+        done
+    | None -> ());
+    touched_n.(idx) <- 0
   in
 
   let trace_ev e =
@@ -357,13 +422,21 @@ let run ?recover ?metrics cfg proc =
         if noting then note_worked pid r u;
         commit_work pid r rest
   in
-  let rec commit_sends pid r = function
+  (* Consecutive sends that carry the physically same payload — a
+     broadcast — share one envelope. *)
+  let rec commit_sends_from pid r (env : 'm envelope) = function
     | [] -> ()
     | { dst; payload } :: rest ->
+        let env = if env.payload == payload then env else { src = pid; sent_at = r; payload } in
         Metrics.record_send metrics pid;
         if noting then note_sent pid r dst payload;
-        if dst >= 0 && dst < t then enqueue dst { src = pid; sent_at = r; payload };
-        commit_sends pid r rest
+        if dst >= 0 && dst < t then enqueue dst env;
+        commit_sends_from pid r env rest
+  in
+  let commit_sends pid r = function
+    | [] -> ()
+    | (first : 'm send) :: _ as sends ->
+        commit_sends_from pid r { src = pid; sent_at = r; payload = first.payload } sends
   in
   let rec note_all_dropped pid r = function
     | [] -> ()
@@ -371,13 +444,19 @@ let run ?recover ?metrics cfg proc =
         note_dropped pid r dst payload;
         note_all_dropped pid r rest
   in
-  let rec forge_loop pid r = function
+  let rec forge_from pid r (env : 'm envelope) = function
     | [] -> ()
     | { dst; payload } :: rest ->
+        let env = if env.payload == payload then env else { src = pid; sent_at = r; payload } in
         Metrics.record_corruption metrics;
         if has_obs then obs_ev (Obs.Tamper { pid; at = r });
-        if dst >= 0 && dst < t then enqueue dst { src = pid; sent_at = r; payload };
-        forge_loop pid r rest
+        if dst >= 0 && dst < t then enqueue dst env;
+        forge_from pid r env rest
+  in
+  let forge_loop pid r = function
+    | [] -> ()
+    | (first : 'm send) :: _ as sends ->
+        forge_from pid r { src = pid; sent_at = r; payload = first.payload } sends
   in
   (* Link tampering: a consuming query — asked only when there are messages
      to corrupt and a model to corrupt them with. *)
@@ -402,11 +481,13 @@ let run ?recover ?metrics cfg proc =
     Fault.note_crash cfg.fault pid r;
     Metrics.record_crash metrics pid r
   in
+  (* [mail]: the buffer holding [pid]'s inbox, or -1 when it has none. *)
   let step_pid r pid mail =
     let w = wakeups.(pid) in
     let due = w >= 0 && w <= r in
-    if mail != [] || due then begin
+    if mail >= 0 || due then begin
       if noting then note_stepped pid r;
+      let mail = if mail >= 0 then inbox_of mail pid else [] in
       let o =
         match cfg.spans with
         | None -> proc.step pid r states.(pid) mail
@@ -527,7 +608,7 @@ let run ?recover ?metrics cfg proc =
     !due_n
   in
   (* Visit, in pid order, the union of the due pids and the inbox
-     destinations. *)
+     destinations; an inbox becomes a list only if its pid steps. *)
   let visit_pids r delivering del_idx =
     let nw = collect_due r in
     let mail = touched.(del_idx) in
@@ -542,36 +623,17 @@ let run ?recover ?metrics cfg proc =
         else mail.(!j)
       in
       if !i < nw && due.(!i) = p then incr i;
-      if !j < mail_n && mail.(!j) = p then incr j;
+      let has_mail = !j < mail_n && mail.(!j) = p in
+      if has_mail then incr j;
       if p <> !last then begin
         last := p;
-        if alive p then visit r p (if delivering then bufs.(del_idx).(p) else [])
+        if alive p then visit r p (if has_mail then del_idx else -1)
       end
     done
   in
-  let cmp_src a b = compare a.src b.src in
-  (* Inboxes are delivered stably sorted by sender, for determinism. Senders
-     run in increasing pid order and [enqueue] conses, so an inbox arrives
-     in non-increasing sender order; when no sender repeats it is strictly
-     decreasing, and its reversal is then the one sorted order. A sender
-     with two messages for one destination needs the stable sort. *)
-  let rec strictly_decreasing = function
-    | a :: (b :: _ as rest) -> a.src > b.src && strictly_decreasing rest
-    | _ -> true
-  in
-  let by_sender = function
-    | ([] | [ _ ]) as l -> l
-    | l -> if strictly_decreasing l then List.rev l else List.stable_sort cmp_src l
-  in
   let deliver_commit r =
-    let oi = !out_idx in
-    let ta = touched.(oi) and b = bufs.(oi) in
-    for i = 0 to touched_n.(oi) - 1 do
-      let dst = ta.(i) in
-      b.(dst) <- by_sender b.(dst)
-    done;
     pending_sent_at := r;
-    pending_idx := oi
+    pending_idx := !out_idx
   in
   let round_body r =
     apply_restarts r;
@@ -581,17 +643,11 @@ let run ?recover ?metrics cfg proc =
     out_idx := (if delivering then 1 - del_idx else del_idx);
     any_sent := false;
     visit_pids r delivering del_idx;
-    (* consumed inboxes are cleared whether or not their pid was stepped
-       (crashed and sleeping destinations lose their mail) *)
-    if delivering then begin
-      let ta = touched.(del_idx) and b = bufs.(del_idx) in
-      for i = 0 to touched_n.(del_idx) - 1 do
-        b.(ta.(i)) <- []
-      done;
-      touched_n.(del_idx) <- 0
-    end;
+    if delivering then clear_inboxes del_idx;
     if !any_sent then
-      with_span ~name:"deliver" ~pid:(-1) ~inc:0 r (fun () -> deliver_commit r)
+      match cfg.spans with
+      | None -> deliver_commit r
+      | Some _ -> with_span ~name:"deliver" ~pid:(-1) ~inc:0 r (fun () -> deliver_commit r)
   in
   let rec loop r =
     if r > cfg.max_rounds then Round_limit r

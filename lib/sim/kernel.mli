@@ -14,8 +14,20 @@
     are visited, so a round costs O(activity), not O(t), under every
     adversary.
 
+    Delivery: an inbox lists its senders in increasing pid order, and one
+    sender's several messages to it in the reverse of their send order
+    (the stable sort by sender of an inbox collected by consing, as a
+    plain round sweep delivers it). Consecutive sends of one step that
+    carry the physically same payload share one immutable envelope, so
+    every recipient of a broadcast receives the physically same envelope.
+    A message in flight is a slot in a per-destination buffer that is
+    reused from round to round; the list a step receives is built only
+    when that process steps, so mail for a crashed, retired or subverted
+    destination never becomes a list, and once its round is over no
+    delivered envelope stays reachable from the kernel.
+
     Determinism: with a fixed fault plan, processes are stepped in increasing
-    pid order and inboxes are sorted by sender pid, so every run of the same
+    pid order and inboxes are ordered as above, so every run of the same
     configuration produces the identical execution. *)
 
 open Types

@@ -70,10 +70,13 @@ let choose g a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
   a.(int g (Array.length a))
 
+(* Applied once: a functor application inside the function below would
+   build the whole set module on every call. *)
+module S = Set.Make (Int)
+
 let sample_without_replacement g k bound =
   if k < 0 || k > bound then invalid_arg "Prng.sample_without_replacement";
   (* Floyd's algorithm: O(k) expected inserts into a small set. *)
-  let module S = Set.Make (Int) in
   let s = ref S.empty in
   for j = bound - k to bound - 1 do
     let v = int g (j + 1) in

@@ -64,10 +64,19 @@ let equal (a : t) (b : t) = a = b
 (* --- merge machinery ------------------------------------------------ *)
 
 (* A growable run buffer; [push] coalesces with the previous run when the
-   new one touches or overlaps it, keeping the result canonical. *)
+   new one touches or overlaps it, keeping the result canonical. Every
+   merge below runs in its domain's one scratch buffer (campaigns judge
+   runs on [Simkit.Pool] domains) and copies the result out at its exact
+   size, so a merge allocates only its result. Merges never nest; the
+   scratch keeps the largest capacity its domain ever needed. *)
 type buf = { mutable arr : int array; mutable n : int }
 
-let buf_make cap = { arr = Array.make (max 4 cap) 0; n = 0 }
+let scratch = Domain.DLS.new_key (fun () -> { arr = Array.make 64 0; n = 0 })
+
+let buf_start () =
+  let b = Domain.DLS.get scratch in
+  b.n <- 0;
+  b
 
 let buf_push b lo hi =
   if hi > lo then
@@ -91,7 +100,7 @@ let union a b =
   if is_empty a then b
   else if is_empty b then a
   else begin
-    let out = buf_make (Array.length a + Array.length b) in
+    let out = buf_start () in
     let i = ref 0 and j = ref 0 in
     let la = Array.length a and lb = Array.length b in
     while !i < la || !j < lb do
@@ -110,7 +119,7 @@ let union a b =
 let inter a b =
   if is_empty a || is_empty b then empty
   else begin
-    let out = buf_make (min (Array.length a) (Array.length b)) in
+    let out = buf_start () in
     let i = ref 0 and j = ref 0 in
     let la = Array.length a and lb = Array.length b in
     while !i < la && !j < lb do
@@ -125,7 +134,7 @@ let inter a b =
 let diff a b =
   if is_empty a || is_empty b then a
   else begin
-    let out = buf_make (Array.length a + Array.length b) in
+    let out = buf_start () in
     let j = ref 0 in
     let lb = Array.length b in
     let i = ref 0 in
@@ -169,7 +178,7 @@ let slice s ~lo ~hi =
   let lo = max 0 lo and hi = min total hi in
   if hi <= lo then empty
   else begin
-    let out = buf_make 8 in
+    let out = buf_start () in
     (* rank of the first element of the current run *)
     let rank = ref 0 in
     let i = ref 0 in
@@ -218,7 +227,7 @@ let to_array s =
 
 let of_list us =
   let sorted = List.sort_uniq compare us in
-  let out = buf_make 8 in
+  let out = buf_start () in
   List.iter (fun u -> buf_push out u (u + 1)) sorted;
   buf_contents out
 

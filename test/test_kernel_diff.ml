@@ -4,8 +4,11 @@
    fault schedule. Both must agree on statuses, outcome, every Metrics
    reader, the full Trace event list, the observability stream and the
    round/step/deliver span structure (timestamps aside). The sweep
-   stable-sorts every inbox by sender; the kernel reverses it when it can,
-   which the D and D-coord variants and the double-send case exercise. *)
+   stable-sorts every inbox it collected by consing; the kernel appends to
+   reusable per-destination buffers and builds a stepping receiver's list
+   in that same order, which the D and D-coord variants and the
+   double-send case exercise. The cases after the law pin what a message
+   costs the kernel. *)
 
 open Simkit
 open Types
@@ -279,12 +282,11 @@ let test_early_rejoin_wakeup () =
     "rejoiner steps in its restart round" true
     (List.mem (Trace.Stepped { pid = 1; round = 5 }) a.events)
 
-(* Pid 2 sends two messages to pid 0 in a round while pid 1 sends one: the
-   inbox is not strictly decreasing by sender, so the kernel cannot just
-   reverse it and must stable-sort it as the sweep does — pid 1's message
-   first, then pid 2's two. Both kernels collect an inbox by consing, so a
-   stable sort leaves one sender's messages in the reverse of their send
-   order. *)
+(* Pid 2 sends two messages to pid 0 in a round while pid 1 sends one:
+   both kernels deliver pid 1's message first, then pid 2's two in the
+   reverse of their send order — the stable sort by sender of an inbox
+   collected by consing, which the sweep performs and the kernel's
+   buffers reproduce when they build the list. *)
 let test_double_send_inbox () =
   let go k =
     let inboxes = ref [] in
@@ -322,11 +324,178 @@ let test_double_send_inbox () =
     [ [ (1, 1); (2, 3); (2, 2) ]; [ (1, 11); (2, 13); (2, 12) ] ]
     inbox_a
 
+(* A broadcast is one envelope: the recipients of consecutive sends that
+   carry the physically same payload all receive the physically same
+   envelope, and a different payload gets an envelope of its own. *)
+let test_broadcast_one_envelope () =
+  let t = 6 in
+  let shared = ref 1 and other = ref 2 in
+  let got = Array.make t [] in
+  let proc =
+    {
+      init = (fun pid -> ((), if pid = 0 then Some 0 else None));
+      step =
+        (fun pid _ () inbox ->
+          got.(pid) <- inbox;
+          let sends =
+            if pid > 0 then []
+            else
+              List.init (t - 1) (fun i -> { dst = i + 1; payload = shared })
+              @ [ { dst = 1; payload = other } ]
+          in
+          { state = (); sends; work = []; terminate = true; wakeup = None });
+    }
+  in
+  let res = Kernel.run (Kernel.config ~n_processes:t ~n_units:1 ()) proc in
+  Alcotest.(check bool) "completed" true (res.outcome = Kernel.Completed);
+  let carrying p pid = List.filter (fun e -> e.payload == p) got.(pid) in
+  let envs = List.concat_map (carrying shared) (List.init (t - 1) succ) in
+  Alcotest.(check int) "every recipient got the broadcast" (t - 1) (List.length envs);
+  let first = List.hd envs in
+  Alcotest.(check bool) "one envelope for the whole broadcast" true
+    (List.for_all (fun e -> e == first) envs);
+  match carrying other 1 with
+  | [ e ] -> Alcotest.(check bool) "another payload, another envelope" false (e == first)
+  | l -> Alcotest.failf "pid 1 got %d envelopes carrying the second payload" (List.length l)
+
+(* Inbox buffers are reused round after round, so nothing may leak from
+   one round's mail into a later one. Pid 0 sends 1, 2 or 3 messages to
+   each other pid per round; pid 1 crashes silently at round 3 and is
+   revived at 6, pid 2 crashes while acting at round 4 and is revived at 8
+   (mail addressed to a down pid is lost), pid 3 never fails. Every inbox
+   any receiver steps with must be exactly the mail sent to it in the
+   round before, and both kernels must agree. *)
+let test_down_receiver_sees_later_mail () =
+  let t = 4 and last = 12 in
+  let sent_in r dst =
+    List.init ((r mod 3) + 1) (fun i -> { dst; payload = (100 * r) + i })
+  in
+  let go k =
+    let inboxes = Array.make t [] in
+    let proc =
+      {
+        init = (fun pid -> ((), if pid = 0 then Some 0 else None));
+        step =
+          (fun pid r () inbox ->
+            inboxes.(pid) <-
+              (r, List.map (fun e -> (e.src, e.sent_at, e.payload)) inbox)
+              :: inboxes.(pid);
+            if pid = 0 then
+              {
+                state = ();
+                sends = List.concat_map (sent_in r) [ 1; 2; 3 ];
+                work = [];
+                terminate = r = last - 1;
+                wakeup = Some (r + 1);
+              }
+            else
+              { state = (); sends = []; work = []; terminate = r = last; wakeup = None });
+      }
+    in
+    let sched =
+      C.Schedule.make
+        [
+          { C.Schedule.victim = 1; at = 3; mode = C.Schedule.Silent };
+          { victim = 1; at = 6; mode = C.Schedule.Restart };
+          {
+            victim = 2;
+            at = 4;
+            mode = C.Schedule.Acting { keep_work = false; delivery = Fault.All };
+          };
+          { victim = 2; at = 8; mode = C.Schedule.Restart };
+        ]
+    in
+    let seen =
+      observe k ~n:1 ~t ~fault:(C.Schedule.to_fault sched) ~show:string_of_int
+        ~metrics:(Metrics.create ~n_processes:t ~n_units:1)
+        ~max_rounds:100 proc
+    in
+    (seen, Array.map List.rev inboxes)
+  in
+  let a, inbox_a = go real and b, inbox_b = go reference in
+  (match explain a b with None -> () | Some why -> Alcotest.fail why);
+  let rounds = Alcotest.(list (pair int (list (triple int int int)))) in
+  for pid = 1 to t - 1 do
+    Alcotest.check rounds (Printf.sprintf "pid %d: both kernels" pid) inbox_b.(pid)
+      inbox_a.(pid)
+  done;
+  let expect steps_at =
+    List.map
+      (fun r ->
+        ( r,
+          List.rev_map (fun (s : int send) -> (0, r - 1, s.payload)) (sent_in (r - 1) 0) ))
+      steps_at
+  in
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  Alcotest.check rounds "pid 1: silent crash at 3, revived at 6"
+    (expect ([ 1; 2 ] @ range 6 last)) inbox_a.(1);
+  Alcotest.check rounds "pid 2: crash while acting at 4, revived at 8"
+    (expect (range 1 4 @ range 8 last)) inbox_a.(2);
+  Alcotest.check rounds "pid 3: every round" (expect (range 1 last)) inbox_a.(3)
+
+(* ---- what a message costs the kernel -------------------------------- *)
+
+(* [t] pids for [rounds] rounds, every outcome built before the run so the
+   words a run allocates are the kernel's own. With [live], every pid
+   steps each round and (with [bcast]) sends one shared payload to every
+   other pid; otherwise pids 1 .. t-1 retire in round 0 and only pid 0
+   steps, broadcasting to them. *)
+let broadcast_words ~t ~rounds ~live ~bcast =
+  let sends =
+    Array.init t (fun pid ->
+        let payload = ref pid in
+        if bcast then
+          List.filter_map
+            (fun dst -> if dst = pid then None else Some { dst; payload })
+            (List.init t Fun.id)
+        else [])
+  in
+  let outcome pid r =
+    if r = rounds || (pid > 0 && not live) then
+      { state = (); sends = []; work = []; terminate = true; wakeup = None }
+    else { state = (); sends = sends.(pid); work = []; terminate = false; wakeup = Some (r + 1) }
+  in
+  let outcomes = Array.init t (fun pid -> Array.init (rounds + 1) (outcome pid)) in
+  let proc =
+    { init = (fun _ -> ((), Some 0)); step = (fun pid r () _ -> outcomes.(pid).(r)) }
+  in
+  let cfg = Kernel.config ~n_processes:t ~n_units:1 () in
+  let before = Gc.minor_words () in
+  let res = Kernel.run cfg proc in
+  let words = Gc.minor_words () -. before in
+  assert (res.outcome = Kernel.Completed);
+  words
+
+(* A round in which every pid broadcasts costs the kernel one list cell
+   (3 words) per delivered message, plus one shared envelope per
+   broadcast and the buffers' growth in the first rounds; a message to a
+   retired receiver is a reused buffer slot and costs nothing. *)
+let test_message_cost () =
+  let t = 64 in
+  let extra ~rounds ~live =
+    broadcast_words ~t ~rounds ~live ~bcast:true
+    -. broadcast_words ~t ~rounds ~live ~bcast:false
+  in
+  let rounds = 32 in
+  let delivered = float_of_int (rounds * t * (t - 1)) in
+  let per_msg = extra ~rounds ~live:true /. delivered in
+  if per_msg > 3.5 then
+    Alcotest.failf "%.2f minor words per delivered message (at most 3.5 allowed)" per_msg;
+  let rounds = 512 in
+  let per_msg = extra ~rounds ~live:false /. float_of_int (rounds * (t - 1)) in
+  if per_msg > 0.25 then
+    Alcotest.failf "%.2f minor words per message to a retired receiver (at most 0.25)"
+      per_msg
+
 let suite =
   [
     Alcotest.test_case "early rejoin wakeup steps at restart" `Quick
       test_early_rejoin_wakeup;
     Alcotest.test_case "double send to one inbox stays sender-sorted" `Quick
       test_double_send_inbox;
+    Alcotest.test_case "a broadcast is one envelope" `Quick test_broadcast_one_envelope;
+    Alcotest.test_case "a down receiver sees only later mail" `Quick
+      test_down_receiver_sees_later_mail;
+    Alcotest.test_case "a message costs a list cell" `Quick test_message_cost;
     law;
   ]

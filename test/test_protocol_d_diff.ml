@@ -151,5 +151,43 @@ let test_shared_payload () =
       Fault.crash_silently_at (List.init 6 (fun i -> (i, 3))) ];
   Alcotest.(check bool) "some broadcasts were checked" true (!broadcasts > 0)
 
+(* A rejoiner outside the live set at a revert (shrunk from a failing law
+   case): pid 9 crashes at round 2 and comes back at 7 as an amnesiac
+   phase-1 worker; at round 13 it reverts to Protocol A with a live set
+   T = {0, ..., 7} that leaves it out. It used to take A-rank 8 in the
+   8-rank revert grid and raise [Invalid_argument "Grid.group_of"]; now it
+   waits as the lowest-priority waiter. Library and reference must agree,
+   complete and do every unit. *)
+let test_revert_outside_live_set () =
+  let text =
+    "schedule v1\n\
+     crash 0 @6 acting keep indices 1,2,7\n\
+     crash 2 @12 acting keep indices\n\
+     crash 8 @4 silent\n\
+     crash 9 @2 acting drop prefix 3\n\
+     restart 0 @7\n\
+     restart 8 @5\n\
+     restart 9 @7\n\
+     end\n"
+  in
+  let sched = match C.Schedule.parse text with Ok s -> s | Error e -> Alcotest.fail e in
+  let c = { alpha = 0.9; n = 41; t = 10; plan = Kd.Sched sched } in
+  let spec = Doall.Spec.make ~n:c.n ~t:c.t in
+  let (Doall.Protocol.Packed { proc; show; _ }) =
+    (Doall.Protocol_d.protocol_with_alpha ~alpha:c.alpha ~name:"D").make spec
+  in
+  let lib = observe c ~show proc in
+  let reference = observe c ~show:Ref.show_msg (Ref.proc ~alpha:c.alpha spec) in
+  (match Kd.explain ~names:("library", "reference") lib reference with
+  | None -> ()
+  | Some why -> Alcotest.fail why);
+  Alcotest.(check bool) "reverts to A" true (reverted lib);
+  Alcotest.(check bool) "completes" true (lib.outcome = Kernel.Completed);
+  Alcotest.(check int) "every unit done" 1 (List.assoc "all_units_done" lib.readers)
+
 let suite =
-  [ Alcotest.test_case "broadcast shares one payload" `Quick test_shared_payload; law ]
+  [
+    Alcotest.test_case "broadcast shares one payload" `Quick test_shared_payload;
+    Alcotest.test_case "revert by a pid outside T" `Quick test_revert_outside_live_set;
+    law;
+  ]

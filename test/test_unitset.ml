@@ -96,6 +96,34 @@ let binop_law =
       && U.subset u1 u2 = M.subset m1 m2
       && U.equal u1 u2 = M.equal m1 m2)
 
+(* A merge allocates only its result: a header and two words per run, or
+   nothing when the result is empty or one of the operands handed back.
+   Each operation runs once before it is measured, so its domain's
+   scratch buffer has grown to size. *)
+let alloc_law =
+  Helpers.qcheck_case ~count:300 ~name:"unitset merges allocate only their result"
+    (Gen.triple
+       (Gen.list_size Gen.(1 -- 25) gen_op)
+       (Gen.list_size Gen.(1 -- 25) gen_op)
+       (Gen.pair Gen.(0 -- 70) Gen.(0 -- 70)))
+    (fun (ops1, ops2, (lo, len)) ->
+      let build ops = fst (List.fold_left apply (U.empty, M.empty) ops) in
+      let a = build ops1 and b = build ops2 in
+      let words f =
+        ignore (f ());
+        let before = Gc.minor_words () in
+        let r = f () in
+        let w = Gc.minor_words () -. before in
+        let expected =
+          if U.is_empty r || r == a || r == b then 0. else float_of_int ((2 * U.intervals r) + 1)
+        in
+        w = expected
+      in
+      words (fun () -> U.union a b)
+      && words (fun () -> U.inter a b)
+      && words (fun () -> U.diff a b)
+      && words (fun () -> U.slice a ~lo ~hi:(lo + len)))
+
 (* slice by rank = take a window of the sorted element list *)
 let slice_law =
   Helpers.qcheck_case ~count:300 ~name:"unitset slice/nth agree with sorted list"
@@ -176,6 +204,7 @@ let suite =
   [
     model_law;
     binop_law;
+    alloc_law;
     slice_law;
     contains_law;
     of_list_law;

@@ -65,6 +65,22 @@ let test_sample_without_replacement () =
        ok sample)
   done
 
+(* The stream itself, pinned: fixed seeds give these samples, and the
+   generator is left where these draws put it. *)
+let test_sample_without_replacement_pinned () =
+  List.iter
+    (fun (seed, k, bound, sample, next) ->
+      let g = Prng.create seed in
+      let name = Printf.sprintf "seed %Ld, %d of %d" seed k bound in
+      Alcotest.(check (list int)) name sample (Prng.sample_without_replacement g k bound);
+      Alcotest.(check int) (name ^ ": next draw") next (Prng.int g 1000))
+    [
+      (1L, 5, 100, [ 16; 56; 83; 89; 90 ], 512);
+      (42L, 8, 8, [ 0; 1; 2; 3; 4; 5; 6; 7 ], 501);
+      (7L, 3, 1_000_000, [ 85171; 159522; 902336 ], 50);
+      (2024L, 10, 40, [ 4; 13; 19; 20; 21; 22; 26; 28; 34; 36 ], 886);
+    ]
+
 let test_shuffle_permutation () =
   let g = Prng.create 77L in
   let a = Array.init 30 Fun.id in
@@ -157,6 +173,8 @@ let suite =
     Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
     Alcotest.test_case "prng uniformity" `Quick test_prng_int_uniformish;
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
+    Alcotest.test_case "sample without replacement: pinned stream" `Quick
+      test_sample_without_replacement_pinned;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     prop_isqrt;
     prop_isqrt_up;
