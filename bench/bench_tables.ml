@@ -1103,14 +1103,14 @@ let e20 () =
     budgets;
   publish "E20" table
 
-(* E21: sim-vs-real effort parity. Each scenario is executed twice — once in
-   the simulator and once as a fleet of real dhw_node processes over unix
+(* E21: sim-vs-real parity. Each scenario is executed twice — once in the
+   simulator and once as a fleet of real dhw_node processes over unix
    sockets, with the fault plan enforced by actual SIGKILLs and respawned
    incarnations recovering from on-disk checkpoints. Because the
    orchestrator replicates the kernel's loop rules and consults the same
-   fault plan, every effort measure (work, messages, rounds, stable writes)
-   must match exactly; the kill-storm rows double as a survival check for
-   the respawn/recover path under back-to-back process deaths. *)
+   fault plan, the two executions must be identical, event for event
+   ([Orchestrator.parity]); the kill-storm rows double as a survival check
+   for the respawn/recover path under back-to-back process deaths. *)
 
 let e21_tmpdir () =
   let d = Filename.temp_file "dhwe21" "" in
@@ -1130,7 +1130,6 @@ let rec e21_rm_rf path =
 
 let e21 () =
   let module C = Simkit.Campaign in
-  let module F = Doall.Fuzz in
   let module O = Dhw_net.Orchestrator in
   let node_exe =
     Filename.concat
@@ -1151,10 +1150,11 @@ let e21 () =
   let table =
     Table.create
       ~title:
-        "Sim-vs-real effort parity: each schedule executed by the simulator\n\
-         and by a fleet of real dhw_node processes (unix sockets, real\n\
-         SIGKILLs, checkpoint-recovering respawns). Effort cells read\n\
-         sim-value = real-value; any inequality is a parity break."
+        "Sim-vs-real parity: each schedule executed by the simulator and\n\
+         by a fleet of real dhw_node processes (unix sockets, real\n\
+         SIGKILLs, checkpoint-recovering respawns). Cells are the fleet's\n\
+         measures; parity is ok when the two event streams are equal,\n\
+         event for event, and the fleet completed."
       [ ("scenario", Table.Left); ("t", Right); ("n", Right);
         ("kills", Right); ("respawns", Right); ("work", Right);
         ("msgs", Right); ("rounds", Right); ("persists", Right);
@@ -1177,14 +1177,6 @@ let e21 () =
               restarts
         in
         let sched = C.Schedule.make entries in
-        let spec = Doall.Spec.make ~n ~t in
-        let sim =
-          match protocol with
-          | "a+rec" -> F.run_recovery_schedule spec Doall.Recovery.A sched
-          | "b+rec" -> F.run_recovery_schedule spec Doall.Recovery.B sched
-          | "a" -> F.run_schedule spec Doall.Protocol_a.protocol sched
-          | _ -> F.run_schedule spec Doall.Protocol_b.protocol sched
-        in
         let dir = e21_tmpdir () in
         let ckpt_dir = Filename.concat dir "ckpt" in
         Unix.mkdir ckpt_dir 0o700;
@@ -1196,18 +1188,8 @@ let e21 () =
             ~protocol ~n ~t ~ckpt_dir ()
         in
         let real = Fun.protect ~finally:(fun () -> e21_rm_rf dir) (fun () -> O.run cfg) in
-        let sm = sim.F.report.Doall.Runner.metrics and rm = real.O.metrics in
-        let cell f =
-          let s = f sm and r = f rm in
-          if s = r then string_of_int s else Printf.sprintf "%d!=%d" s r
-        in
-        let parity =
-          List.for_all
-            (fun f -> f sm = f rm)
-            [ Metrics.work; Metrics.messages; Metrics.rounds;
-              Metrics.persists; Metrics.restarts; Metrics.crashes ]
-          && real.O.stop = O.Completed
-        in
+        let cell f = string_of_int (f real.O.metrics) in
+        let parity = O.parity cfg ~sched real = None && real.O.stop = O.Completed in
         Table.add_row table
           [
             label; string_of_int t; string_of_int n;

@@ -127,14 +127,15 @@ let events_arg =
   Arg.(value & opt (some string) None & info [ "events" ] ~docv:"PATH"
        ~doc:"Stream every execution event to $(i,PATH) as JSON Lines.")
 
-let with_events events f =
-  match events with
-  | None -> f None
-  | Some path ->
-      let oc = open_out path in
-      let r = f (Some (Simkit.Obs.jsonl oc)) in
-      close_out oc;
-      r
+(* Run [f] with the --events file (if any) teed with the [also] sinks. *)
+let with_events ?(also = []) events f =
+  let oc = Option.map open_out events in
+  let sinks = Option.to_list (Option.map Simkit.Obs.jsonl oc) @ also in
+  let r =
+    f (match sinks with [] -> None | [ s ] -> Some s | ss -> Some (Simkit.Obs.tee ss))
+  in
+  Option.iter close_out oc;
+  r
 
 let count_status statuses pred =
   Array.fold_left (fun acc s -> if pred s then acc + 1 else acc) 0 statuses
@@ -174,7 +175,9 @@ let run_cmd =
   let run proto n t crashes restarts random window seed adversary trace_n
       report_fmt events trace_out horizon idle_block =
     let spec = make_spec ~n ~t in
-    let trace = Option.map (fun _ -> Simkit.Trace.create ()) trace_n in
+    (* --trace N records the event stream in memory, beside --events. *)
+    let trace_sink, recorded = Simkit.Obs.memory () in
+    let traced = if trace_n = None then [] else [ trace_sink ] in
     (* Wall-clock span collection is a separate sink from --events so the
        deterministic event stream stays byte-stable across machines. *)
     let spans, flush_spans =
@@ -204,10 +207,9 @@ let run_cmd =
           | None -> ());
           Format.printf "verdict: %s@."
             (if D.Runner.correct report then "CORRECT" else "INCORRECT");
-          (match (trace, trace_n) with
-          | Some tr, Some limit ->
-              Simkit.Trace.pp ~limit Format.std_formatter tr
-          | _ -> ()));
+          Option.iter
+            (fun limit -> Simkit.Obs.pp ~limit Format.std_formatter (recorded ()))
+            trace_n);
       exit_run
         ~ok:(D.Runner.correct report)
         (match report.D.Runner.outcome with
@@ -241,8 +243,8 @@ let run_cmd =
             | cs -> crash_desc cs ^ "; " ^ restart_desc restarts
           in
           finish fault_desc
-            (with_events events (fun obs ->
-                 D.Recovery.run ~fault ?trace ?obs ?spans spec which))
+            (with_events ~also:traced events (fun obs ->
+                 D.Recovery.run ~fault ?obs ?spans spec which))
     end
     else if
       String.lowercase_ascii proto = "d-online"
@@ -262,13 +264,8 @@ let run_cmd =
         build_fault ~t ~crashes ~random ~window ~seed ~adversary
       in
       let report =
-        with_events events (fun obs ->
-            let obs =
-              match obs with
-              | None -> Some (D.Latency.sink lat)
-              | Some o -> Some (Simkit.Obs.tee [ o; D.Latency.sink lat ])
-            in
-            D.Runner.run ~fault ?trace ?obs ?spans spec p)
+        with_events ~also:(traced @ [ D.Latency.sink lat ]) events (fun obs ->
+            D.Runner.run ~fault ?obs ?spans spec p)
       in
       finish ~latency:(D.Latency.to_json lat) fault_desc report
     end
@@ -278,8 +275,8 @@ let run_cmd =
         build_fault ~t ~crashes ~random ~window ~seed ~adversary
       in
       finish fault_desc
-        (with_events events (fun obs ->
-             D.Runner.run ~fault ?trace ?obs ?spans spec p))
+        (with_events ~also:traced events (fun obs ->
+             D.Runner.run ~fault ?obs ?spans spec p))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a Do-All protocol under a fault schedule")
@@ -1124,32 +1121,16 @@ let net_runner_report spec ~protocol (res : Net.Orchestrator.result) =
     outcome = Net.Orchestrator.to_run_outcome res.Net.Orchestrator.stop;
   }
 
-(* The sim-vs-real differential: the same schedule through the simulator
-   (its own fresh fault plan — plans are stateful) and through the real
-   fleet must spend identical effort. *)
-let net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched =
-  match D.Fuzz.recovery_which_of_name protocol with
-  | Some which when protocol = "a+rec" || protocol = "b+rec" ->
-      D.Fuzz.run_recovery_schedule ~max_rounds ~rejoin_rounds spec which sched
-  | _ -> D.Fuzz.run_schedule ~max_rounds spec (protocol_of_name protocol) sched
-
-let net_parity_check ~(sim : D.Fuzz.subject) ~(real : D.Runner.report) =
-  let sm = sim.D.Fuzz.report.D.Runner.metrics and rm = real.D.Runner.metrics in
-  let measures =
-    [
-      ("work", Simkit.Metrics.work);
-      ("messages", Simkit.Metrics.messages);
-      ("rounds", Simkit.Metrics.rounds);
-      ("persists", Simkit.Metrics.persists);
-      ("restarts", Simkit.Metrics.restarts);
-      ("crashes", Simkit.Metrics.crashes);
-    ]
-  in
-  List.filter_map
-    (fun (name, f) ->
-      let s = f sm and r = f rm in
-      if s = r then None else Some (Printf.sprintf "%s: sim=%d real=%d" name s r))
-    measures
+(* The sim-vs-real differential: the simulator's event stream for the same
+   schedule must equal the fleet's, event for event. *)
+let net_parity cfg ~sched res =
+  match Net.Orchestrator.parity cfg ~sched res with
+  | None ->
+      Format.printf "diff: sim and real runs agree on every measure@.";
+      true
+  | Some first ->
+      Format.printf "diff: sim-vs-real MISMATCH (%s)@." first;
+      false
 
 let net_exit (res : Net.Orchestrator.result) ~ok =
   exit_run ~ok
@@ -1219,7 +1200,7 @@ let keep_dir_arg =
 
 let diff_arg =
   Arg.(value & flag & info [ "diff" ]
-       ~doc:"Also run the identical schedule in the simulator and require effort parity (work, messages, rounds, persists, restarts, crashes).")
+       ~doc:"Also run the identical schedule in the simulator and require the identical execution, event for event (steps, sends, drops, work, persists, crashes, restarts, terminations).")
 
 (* Run a schedule against a real-process fleet; shared by net-run and
    net-replay. Returns (config, orchestrator result, runner-shaped
@@ -1300,23 +1281,7 @@ let net_run_cmd =
     let correct =
       net_print_report ~report_fmt ~fault_desc ~protocol spec cfg res rr
     in
-    let parity_ok =
-      if not diff then true
-      else begin
-        let sim =
-          net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched
-        in
-        match net_parity_check ~sim ~real:rr with
-        | [] ->
-            Format.printf "diff: sim and real runs agree on every measure@.";
-            true
-        | ms ->
-            Format.printf "diff: sim-vs-real MISMATCH (%s)@."
-              (String.concat "; " ms);
-            false
-      end
-    in
-    if not parity_ok then exit 1;
+    if diff && not (net_parity cfg ~sched res) then exit 1;
     net_exit res ~ok:correct
   in
   Cmd.v
@@ -1341,7 +1306,7 @@ let net_replay_cmd =
             ^ " has no real-process deployment (a, b, a+rec, b+rec)")
     in
     let spec = meta_spec sync_format sched in
-    let _cfg, res, rr =
+    let cfg, res, rr =
       net_execute ~node_exe ~addr ~watchdog ~io_timeout ~rejoin_rounds
         ~max_rounds ~keep_dir ~trace_out spec ~protocol sched
     in
@@ -1353,7 +1318,7 @@ let net_replay_cmd =
     let subject =
       {
         D.Fuzz.report = rr;
-        audit = D.Fuzz.trace_audit ~protocol res.Net.Orchestrator.trace;
+        audit = D.Fuzz.trace_audit ~protocol res.Net.Orchestrator.events;
       }
     in
     (* The same oracle stack a simulator replay of this schedule faces. *)
@@ -1368,19 +1333,13 @@ let net_replay_cmd =
     | None -> Format.printf "oracles: all pass@."
     | Some (oracle, detail) ->
         Format.printf "oracles: %s FAILS (%s)@." oracle detail);
-    let sim = net_sim_subject spec ~protocol ~rejoin_rounds ~max_rounds sched in
-    let parity = net_parity_check ~sim ~real:rr in
-    (match parity with
-    | [] -> Format.printf "diff: sim and real runs agree on every measure@."
-    | ms ->
-        Format.printf "diff: sim-vs-real MISMATCH (%s)@."
-          (String.concat "; " ms));
-    if oracle_failure <> None || parity <> [] then exit 1;
+    let parity_ok = net_parity cfg ~sched res in
+    if oracle_failure <> None || not parity_ok then exit 1;
     net_exit res ~ok:true
   in
   Cmd.v
     (Cmd.info "net-replay"
-       ~doc:"Re-run a serialized schedule against real processes, re-judge with the simulator's oracle stack, and require sim-vs-real effort parity")
+       ~doc:"Re-run a serialized schedule against real processes, re-judge with the simulator's oracle stack, and require sim-vs-real parity, event for event")
     Term.(
       const run
       $ schedule_file_arg

@@ -24,9 +24,9 @@ let () =
     (Doall.Runner.work_complete report);
 
   (* A peek at the first rounds of the execution. *)
-  let trace = Simkit.Trace.create () in
+  let obs, recorded = Simkit.Obs.memory () in
   let small = Doall.Spec.make ~n:6 ~t:4 in
   let fault = Simkit.Fault.crash_silently_at [ (0, 3) ] in
-  ignore (Doall.Runner.run ~fault ~trace small Doall.Protocol_b.protocol);
+  ignore (Doall.Runner.run ~fault ~obs small Doall.Protocol_b.protocol);
   Format.printf "@.--- n=6 t=4, process 0 dies at round 3 ---@.%a"
-    (Simkit.Trace.pp ~limit:25) trace
+    (Simkit.Obs.pp ~limit:25) (recorded ())

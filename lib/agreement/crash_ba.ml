@@ -49,9 +49,9 @@ let run ~n ~t_bound ~value ?(crash_at = []) ?general_cut proto =
   let spec = Spec.make ~n ~t:n_senders in
   let sender_crashes = List.filter (fun (p, _) -> p < n_senders) crash_at in
   let fault = Simkit.Fault.crash_silently_at sender_crashes in
-  let trace = Simkit.Trace.create () in
-  let report = Runner.run ~fault ~trace spec (protocol_of proto) in
-  (* Replay the trace to track value adoption. All events of a round are
+  let obs, recorded = Simkit.Obs.memory () in
+  let report = Runner.run ~fault ~obs spec (protocol_of proto) in
+  (* Replay the events to track value adoption. All events of a round are
      applied deliveries-first (a process that receives and then acts within
      round r acts with the updated value). *)
   let values = Array.make n 0 in
@@ -64,25 +64,22 @@ let run ~n ~t_bound ~value ?(crash_at = []) ?general_cut proto =
     List.filter_map
       (fun ev ->
         match ev with
-        | Simkit.Trace.Worked { pid; round; unit_id } ->
-            Some (round + 1, unit_id, round, pid)
-        | Simkit.Trace.Sent { src; dst; round; what }
+        | Simkit.Obs.Work { pid; at; unit_id } -> Some (at + 1, unit_id, at, pid)
+        | Simkit.Obs.Send { src; dst; at; tag }
           when messages_carry_value proto
                (* only Protocol C's *checkpointing* (ordinary) messages carry
-                  the value — polls and replies do not; the trace printer
+                  the value — polls and replies do not; the payload printer
                   renders ordinaries as "ord(...)" *)
-               && String.length what >= 3
-               && String.sub what 0 3 = "ord" ->
-            Some (round + 1, dst, round, src)
-        | Simkit.Trace.Sent _ | Stepped _ | Dropped _ | Crashed_ev _
-        | Restarted_ev _ | Terminated_ev _ ->
-            None)
-      (Simkit.Trace.events trace)
+               && String.length tag >= 3
+               && String.sub tag 0 3 = "ord" ->
+            Some (at + 1, dst, at, src)
+        | _ -> None)
+      (recorded ())
   in
   let informs =
     List.stable_sort (fun (d1, _, _, _) (d2, _, _, _) -> compare d1 d2) informs
   in
-  (* The trace is chronological and deliveries happen one round after sends,
+  (* The stream is chronological and deliveries happen one round after sends,
      so by processing deliveries in delivery-round order, each sender's value
      is read after all its adoptions from strictly earlier rounds — and a
      sender that was informed in its own send round already appears earlier

@@ -13,10 +13,11 @@
     nonconstructive bound, constructively), [O(n + t log t)] with C.
 
     Implementation: the sender work-run executes on the synchronous kernel
-    and its trace is then replayed to track value adoption round by round —
-    a performed unit [u] at round [r] delivers the performer's current value
-    to process [u] at round [r+1]; for Protocol C every traced message also
-    delivers the sender's value. Crash schedules must be silent crashes
+    into an [Obs.memory] sink, and the recorded events are then replayed to
+    track value adoption round by round — a performed unit [u] at round [r]
+    delivers the performer's current value to process [u] at round [r+1];
+    for Protocol C every checkpointing message also delivers the sender's
+    value. Crash schedules must be silent crashes
     (crash-at-round), which is what the Section 5 analysis considers. *)
 
 type work_protocol = A | B | C | C_chunked

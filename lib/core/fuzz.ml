@@ -25,10 +25,10 @@ let checks_for protocol =
 let armed spec checks =
   Audit.create ~checks ~processes:(Spec.processes spec) ~units:(Spec.n spec) ()
 
-let run_schedule ?max_rounds spec proto sched =
+let run_schedule spec proto sched =
   let audit = armed spec (checks_for proto.Protocol.name) in
   let fault = C.Schedule.to_fault sched in
-  let report = Runner.run ~fault ?max_rounds ~audit spec proto in
+  let report = Runner.run ~fault ~audit spec proto in
   { report; audit }
 
 (* The text a protocol renders its passive messages as, for recorded
@@ -198,9 +198,9 @@ let run_recovery_schedule ?max_rounds ?rejoin_rounds spec which sched =
   let report = Recovery.run ~fault ?max_rounds ?rejoin_rounds ~audit spec which in
   { report; audit }
 
-let trace_audit ~protocol trace =
+let trace_audit ~protocol events =
   Audit.replay ~passive_msg:(passive_text protocol)
-    ~checks:(checks_for protocol) trace
+    ~checks:(checks_for protocol) events
 
 (* Oracle bounds under crash–recovery are incarnation-counting envelopes:
    with [R] committed restarts an execution has at most [t + R] incarnations,

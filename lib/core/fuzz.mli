@@ -15,18 +15,17 @@ type subject = { report : Runner.report; audit : Simkit.Audit.t }
     kernel fed during the run, armed with the checks the matching oracle
     stack reads (none for the corruption stack). *)
 
-val run_schedule :
-  ?max_rounds:int -> Spec.t -> Protocol.t -> C.Schedule.t -> subject
+val run_schedule : Spec.t -> Protocol.t -> C.Schedule.t -> subject
 (** One execution of [protocol] on [spec] under the schedule's fault plan,
     audited by [well-formed] and, for the sequential protocols (A, B, C,
     C-chunked), [one-active] and [monotone]. *)
 
-val trace_audit : protocol:string -> Simkit.Trace.t -> Simkit.Audit.t
+val trace_audit : protocol:string -> Simkit.Obs.event list -> Simkit.Audit.t
 (** The checker {!run_schedule} (or, for ["a+rec"]/["b+rec"],
     {!run_recovery_schedule}) would arm for [protocol], fed a recorded
-    trace instead — a real fleet's. A [Sent] event is passive when its text
-    is the protocol's own rendering of its passive message (B's [Go_ahead],
-    C's [Alive]). *)
+    event stream instead — a real fleet's (see {!Simkit.Audit.replay}). A
+    [Send] event is passive when its tag is the protocol's own rendering of
+    its passive message (B's [Go_ahead], C's [Alive]). *)
 
 val oracles : Spec.t -> protocol:string -> subject C.oracle list
 (** The oracle stack for a protocol name (as accepted by the CLI: "a", "b",

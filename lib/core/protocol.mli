@@ -5,7 +5,7 @@
 type packed =
   | Packed : {
       proc : ('s, 'm) Simkit.Types.process;
-      show : 'm -> string;  (** payload rendering, for traces *)
+      show : 'm -> string;  (** payload rendering, for [Obs.Send] tags *)
       passive : 'm -> bool;
           (** the messages an inactive process may send (Protocol B's
               [Go_ahead], Protocol C's [Alive]): the [One_active] audit

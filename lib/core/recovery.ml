@@ -221,7 +221,7 @@ let adapter_b grid : (Protocol_b.pstate, Protocol_b.msg) adapter =
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run ?fault ?max_rounds ?trace ?obs ?spans ?audit ?(rejoin_rounds = 3) spec
+let run ?fault ?max_rounds ?obs ?spans ?audit ?(rejoin_rounds = 3) spec
     which =
   let grid = Grid.make spec in
   let metrics =
@@ -239,7 +239,7 @@ let run ?fault ?max_rounds ?trace ?obs ?spans ?audit ?(rejoin_rounds = 3) spec
   let run_with (type s m) (ad : (s, m) adapter) =
     let proc = harden ad ~stable in
     let cfg =
-      Simkit.Kernel.config ?fault ?max_rounds ?trace ?obs ?spans ?audit
+      Simkit.Kernel.config ?fault ?max_rounds ?obs ?spans ?audit
         ~passive:(rmsg_passive ad.passive) ~show:(show_rmsg ad.show)
         ~n_processes:ad.n_procs ~n_units:(Spec.n spec) ()
     in

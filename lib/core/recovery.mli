@@ -106,7 +106,6 @@ val recover_hook :
 val run :
   ?fault:Simkit.Fault.t ->
   ?max_rounds:int ->
-  ?trace:Simkit.Trace.t ->
   ?obs:Simkit.Obs.sink ->
   ?spans:Simkit.Obs.sink ->
   ?audit:Simkit.Audit.t ->
@@ -121,6 +120,8 @@ val run :
     [rejoin_rounds] (default 3) is the state-transfer window: announce,
     peer replies in flight, absorb — a rejoiner resumes at
     [restart round + rejoin_rounds]. With [rejoin_rounds = 0] a rejoiner
-    resumes immediately from its own stable cell alone. [audit] is fed as
-    in {!Runner.run}; the wrapper's own [Announce]/[Transfer] traffic is
-    not passive. *)
+    resumes immediately from its own stable cell alone. [obs] receives the
+    execution events as in {!Runner.run} plus one [Persist] per stable
+    write, inside the writer's step (after its [Step], before its [Work]).
+    [audit] is fed as in {!Runner.run}; the wrapper's own
+    [Announce]/[Transfer] traffic is not passive. *)

@@ -6,10 +6,10 @@ type report = {
   outcome : Simkit.Kernel.run_outcome;
 }
 
-let run ?fault ?max_rounds ?trace ?obs ?spans ?audit spec (p : Protocol.t) =
+let run ?fault ?max_rounds ?obs ?spans ?audit spec (p : Protocol.t) =
   let (Protocol.Packed { proc; show; passive }) = p.make spec in
   let cfg =
-    Simkit.Kernel.config ?fault ?max_rounds ?trace ?obs ?spans ?audit ~passive
+    Simkit.Kernel.config ?fault ?max_rounds ?obs ?spans ?audit ~passive
       ~show ~n_processes:(Spec.processes spec) ~n_units:(Spec.n spec) ()
   in
   let result = Simkit.Kernel.run cfg proc in

@@ -12,15 +12,16 @@ type report = {
 val run :
   ?fault:Simkit.Fault.t ->
   ?max_rounds:int ->
-  ?trace:Simkit.Trace.t ->
   ?obs:Simkit.Obs.sink ->
   ?spans:Simkit.Obs.sink ->
   ?audit:Simkit.Audit.t ->
   Spec.t ->
   Protocol.t ->
   report
-(** [audit] is fed the run's events as they happen, with the protocol's
-    [passive] predicate (see {!Simkit.Kernel.config}). *)
+(** [obs] receives the run's execution events as they happen (record a
+    trace with [Simkit.Obs.memory]); [audit] is fed the same events
+    without building them, with the protocol's [passive] predicate (see
+    {!Simkit.Kernel.config}). *)
 
 val survivors : report -> int
 (** Processes that terminated (did not crash). *)

@@ -238,7 +238,7 @@ let proc_validated grid ~on_reject : (vstate, signed) process =
 
 let name = "A+val"
 
-let run ?fault ?max_rounds ?trace ?obs spec =
+let run ?fault ?max_rounds ?obs spec =
   let grid = Grid.make spec in
   let metrics =
     Simkit.Metrics.create ~n_processes:(Spec.processes spec) ~n_units:(Spec.n spec)
@@ -251,7 +251,7 @@ let run ?fault ?max_rounds ?trace ?obs spec =
   in
   let proc = proc_validated grid ~on_reject in
   let cfg =
-    Simkit.Kernel.config ?fault ?max_rounds ?trace ?obs ~show:show_signed
+    Simkit.Kernel.config ?fault ?max_rounds ?obs ~show:show_signed
       ~tamper:(tamper_signed grid) ~n_processes:(Spec.processes spec)
       ~n_units:(Spec.n spec) ()
   in
@@ -264,11 +264,11 @@ let run ?fault ?max_rounds ?trace ?obs spec =
     outcome = result.outcome;
   }
 
-let run_unhardened ?fault ?max_rounds ?trace ?obs spec =
+let run_unhardened ?fault ?max_rounds ?obs spec =
   let grid = Grid.make spec in
   let proc = Protocol_a.proc_on_grid grid in
   let cfg =
-    Simkit.Kernel.config ?fault ?max_rounds ?trace ?obs ~show:Protocol_a.show_msg
+    Simkit.Kernel.config ?fault ?max_rounds ?obs ~show:Protocol_a.show_msg
       ~tamper:(tamper_plain grid) ~n_processes:(Spec.processes spec)
       ~n_units:(Spec.n spec) ()
   in

@@ -125,7 +125,6 @@ val name : string
 val run :
   ?fault:Simkit.Fault.t ->
   ?max_rounds:int ->
-  ?trace:Simkit.Trace.t ->
   ?obs:Simkit.Obs.sink ->
   Spec.t ->
   Runner.report
@@ -133,13 +132,14 @@ val run :
     into the kernel so [Corrupt]/[Byzantine] schedule entries act. The
     report's metrics include {!Simkit.Metrics.corruptions} (adversary
     activity) and {!Simkit.Metrics.rejected} (messages the validation layer
-    refused). Byzantine runs should set [max_rounds] — a subverted pid acts
-    every round, so a liveness bug surfaces as [Round_limit]. *)
+    refused); [obs] receives the execution events plus a [Tamper] per
+    corrupted payload and a [Reject] per refusal. Byzantine runs should set
+    [max_rounds] — a subverted pid acts every round, so a liveness bug
+    surfaces as [Round_limit]. *)
 
 val run_unhardened :
   ?fault:Simkit.Fault.t ->
   ?max_rounds:int ->
-  ?trace:Simkit.Trace.t ->
   ?obs:Simkit.Obs.sink ->
   Spec.t ->
   Runner.report

@@ -26,9 +26,10 @@ type envelope = { src : int; sent_at : int; payload : string }
 
 type send = { dst : int; payload : string; show : string }
 (** One outgoing message as reported by a node. [show] is the node's
-    human rendering of the payload ([show_msg]), carried so the
-    orchestrator's traces — and thus the audit oracles — see exactly what
-    the simulator's would. *)
+    human rendering of the payload ([show_msg]), carried as the tag of
+    the orchestrator's [Obs.Send] events, so its stream — and thus the
+    audit oracles and the sim-vs-real parity check — sees exactly what the
+    simulator's would. *)
 
 type t =
   | Hello of {

@@ -1,7 +1,7 @@
 open Simkit.Types
 module Fault = Simkit.Fault
 module Metrics = Simkit.Metrics
-module Trace = Simkit.Trace
+module Obs = Simkit.Obs
 
 type config = {
   node_exe : string;
@@ -65,7 +65,7 @@ type result = {
   metrics : Metrics.t;
   statuses : status array;
   stop : stop;
-  trace : Trace.t;
+  events : Obs.event list;
   transport : Transport.stats;
   spawns : int;
   kills : int;
@@ -116,7 +116,7 @@ let run cfg =
   let started = Unix.gettimeofday () in
   let deadline = started +. cfg.watchdog_s in
   let stats = Transport.stats () in
-  let trace = Trace.create () in
+  let record, recorded = Obs.memory () in
   let metrics = Metrics.create ~n_processes:cfg.t ~n_units:cfg.n in
   let statuses = Array.make cfg.t Running in
   let wakeups : round option array = Array.make cfg.t None in
@@ -341,28 +341,6 @@ let run cfg =
         Some boxes
     | _ -> None
   in
-  let apply_delivery_filter decision sends =
-    match decision with
-    | Fault.All -> (sends, [])
-    | Fault.Prefix k ->
-        let rec split i acc = function
-          | [] -> (List.rev acc, [])
-          | rest when i = k -> (List.rev acc, rest)
-          | s :: rest -> split (i + 1) (s :: acc) rest
-        in
-        split 0 [] sends
-    | Fault.Indices idx ->
-        let keep = List.sort_uniq compare idx in
-        let kept, dropped =
-          List.fold_left
-            (fun (i, (k, d)) s ->
-              if List.mem i keep then (i + 1, (s :: k, d)) else (i + 1, (k, s :: d)))
-            (0, ([], []))
-            sends
-          |> snd
-        in
-        (List.rev kept, List.rev dropped)
-  in
   let apply_restarts r =
     let rec go () =
       match !restart_queue with
@@ -378,7 +356,7 @@ let run cfg =
             statuses.(pid) <- Running;
             Fault.note_restart cfg.fault pid r;
             Metrics.record_restart metrics pid r;
-            Trace.record trace (Trace.Restarted_ev { pid; round = r })
+            record (Obs.Restart { pid; at = r })
           end;
           go ()
       | _ -> ()
@@ -395,7 +373,7 @@ let run cfg =
     wakeups.(pid) <- None;
     Fault.note_crash cfg.fault pid r;
     Metrics.record_crash metrics pid r;
-    Trace.record trace (Trace.Crashed_ev { pid; round = r })
+    record (Obs.Crash { pid; at = r })
   in
   let cur = ref 0 in
   let run_loop () =
@@ -424,7 +402,7 @@ let run cfg =
               let mail = inbox pid in
               let due = match wakeups.(pid) with Some w -> w <= r | None -> false in
               if mail <> [] || due then begin
-                Trace.record trace (Trace.Stepped { pid; round = r });
+                record (Obs.Step { pid; at = r });
                 let fd = conn_of nd in
                 let sends, work, terminate, wakeup, persists =
                   ctl_timed ~name:"rpc" ~pid ~inc:nd.incarnation ~round:r
@@ -453,7 +431,8 @@ let run cfg =
                 (* Stable-storage writes happened inside the node's step,
                    before any crash decision — write-ahead, as in the sim. *)
                 for _ = 1 to persists do
-                  Metrics.record_persist metrics pid r
+                  Metrics.record_persist metrics pid r;
+                  record (Obs.Persist { pid; at = r })
                 done;
                 let view =
                   {
@@ -470,8 +449,8 @@ let run cfg =
                   List.iter
                     (fun s ->
                       Metrics.record_send metrics pid;
-                      Trace.record trace
-                        (Trace.Sent { src = pid; dst = s.Frame.dst; round = r; what = s.Frame.show });
+                      record
+                        (Obs.Send { src = pid; dst = s.Frame.dst; at = r; tag = s.Frame.show });
                       if s.Frame.dst >= 0 && s.Frame.dst < cfg.t then begin
                         out.(s.Frame.dst) <-
                           { Frame.src = pid; sent_at = r; payload = s.Frame.payload }
@@ -484,7 +463,7 @@ let run cfg =
                   List.iter
                     (fun u ->
                       Metrics.record_work metrics pid u;
-                      Trace.record trace (Trace.Worked { pid; round = r; unit_id = u }))
+                      record (Obs.Work { pid; at = r; unit_id = u }))
                     work
                 in
                 match decision with
@@ -496,7 +475,7 @@ let run cfg =
                       statuses.(pid) <- Terminated r;
                       wakeups.(pid) <- None;
                       Metrics.record_terminate metrics pid r;
-                      Trace.record trace (Trace.Terminated_ev { pid; round = r });
+                      record (Obs.Terminate { pid; at = r });
                       shutdown nd
                     end
                     else begin
@@ -511,15 +490,15 @@ let run cfg =
                       wakeups.(pid) <- wakeup
                     end
                 | Fault.Crash { keep_work; delivery } ->
-                    let delivered, dropped = apply_delivery_filter delivery sends in
+                    let delivered, dropped = Fault.split_delivery delivery sends in
                     let keep_work = keep_work || delivered <> [] in
                     if keep_work then commit_work ();
                     commit_sends delivered;
                     List.iter
                       (fun s ->
-                        Trace.record trace
-                          (Trace.Dropped
-                             { src = pid; dst = s.Frame.dst; round = r; what = s.Frame.show }))
+                        record
+                          (Obs.Drop
+                             { src = pid; dst = s.Frame.dst; at = r; tag = s.Frame.show }))
                       dropped;
                     commit_crash pid r ~signal:true;
                     Metrics.record_round metrics r
@@ -627,7 +606,7 @@ let run cfg =
     metrics;
     statuses;
     stop;
-    trace;
+    events = recorded ();
     transport = stats;
     spawns = !spawns;
     kills = !kills;
@@ -635,3 +614,32 @@ let run cfg =
     heartbeats = !heartbeats;
     wall_s = Unix.gettimeofday () -. started;
   }
+
+(* The simulator's run of the same schedule, with its own fresh fault plan
+   (plans are stateful: the fleet's has been consumed), under the fleet's
+   round limit and rejoin window. *)
+let sim_events cfg ~sched =
+  let spec = Doall.Spec.make ~n:cfg.n ~t:cfg.t in
+  let fault = Simkit.Campaign.Schedule.to_fault sched in
+  let obs, recorded = Obs.memory () in
+  let max_rounds = cfg.max_rounds and rejoin_rounds = cfg.rejoin_rounds in
+  let recovery which =
+    Doall.Recovery.run ~fault ~max_rounds ~rejoin_rounds ~obs spec which
+  in
+  ignore
+    (match cfg.protocol with
+    | "a+rec" -> recovery Doall.Recovery.A
+    | "b+rec" -> recovery Doall.Recovery.B
+    | "a" -> Doall.Runner.run ~fault ~max_rounds ~obs spec Doall.Protocol_a.protocol
+    | _ -> Doall.Runner.run ~fault ~max_rounds ~obs spec Doall.Protocol_b.protocol);
+  recorded ()
+
+let parity cfg ~sched res =
+  let head = function e :: _ -> Fmt.to_to_string Obs.pp_event e | [] -> "stream ends" in
+  let rec first i sim real =
+    match (sim, real) with
+    | [], [] -> None
+    | s :: sim', r :: real' when s = r -> first (i + 1) sim' real'
+    | _ -> Some (Printf.sprintf "event %d: sim %s, real %s" i (head sim) (head real))
+  in
+  first 0 (sim_events cfg ~sched) res.events

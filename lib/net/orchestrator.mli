@@ -6,14 +6,15 @@
     scheduler and message switch, the nodes hold the protocol state. Every
     structural rule of the kernel loop is reproduced — delivery of round-[r]
     sends at [r+1], idle-round skipping, pid-order stepping, per-pid inboxes
-    sorted by sender, the acting-crash [keep_work || delivered <> []] rule,
-    restart applicability — and the fault plan is consulted through exactly
-    the same [Simkit.Fault] kernel interface, so a schedule replayed here
-    and in the simulator yields the same metrics whenever the real run is
-    fault-free at the OS level. The one semantic difference: a [Crash]
-    decision is enforced with a real [SIGKILL], and a [Restart] entry with a
-    real [exec] of a fresh incarnation that must recover from its on-disk
-    checkpoint. *)
+    sorted by sender, the acting-crash [keep_work || delivered <> []] rule
+    and delivery filter ([Simkit.Fault.split_delivery]), restart
+    applicability — and the fault plan is consulted through exactly the
+    same [Simkit.Fault] kernel interface, so a schedule replayed here and
+    in the simulator yields the same execution, event for event
+    ({!parity}), whenever the real run is fault-free at the OS level. The
+    one semantic difference: a [Crash] decision is enforced with a real
+    [SIGKILL], and a [Restart] entry with a real [exec] of a fresh
+    incarnation that must recover from its on-disk checkpoint. *)
 
 type config = {
   node_exe : string;  (** path to the [dhw_node] binary *)
@@ -89,10 +90,12 @@ type result = {
   metrics : Simkit.Metrics.t;
   statuses : Simkit.Types.status array;
   stop : stop;
-  trace : Simkit.Trace.t;
-      (** built from orchestrator-observed events with node-supplied [show]
-          strings, so the audit oracles read it exactly like a simulator
-          trace *)
+  events : Simkit.Obs.event list;
+      (** the execution as the orchestrator observed it, in order, with
+          node-supplied [show] strings as send tags: the events a simulator
+          run's [Obs] sink receives, including one [Persist] per stable
+          write a node reports (after its [Step], before its [Work]). The
+          audit oracles replay it as they would a simulator's stream. *)
   transport : Transport.stats;
   spawns : int;  (** total node processes launched (initial + respawns) *)
   kills : int;  (** SIGKILLs delivered by the fault plan *)
@@ -115,3 +118,14 @@ val run : config -> result
     reaped before returning, whatever the stop cause. Raises
     [Invalid_argument] on a config that cannot be started (unknown
     protocol, [t <= 0]). *)
+
+val parity : config -> sched:Simkit.Campaign.Schedule.t -> result -> string option
+(** The sim-vs-real differential. [sched] (the schedule [config.fault] was
+    built from) runs through [Doall.Runner.run] (protocols ["a"]/["b"]) or
+    [Doall.Recovery.run] (["a+rec"]/["b+rec"], with [config]'s
+    [rejoin_rounds]) on a fresh fault plan, under [config]'s round limit,
+    into an [Obs.memory] sink. [None] when that stream equals
+    [result.events] event for event; otherwise the first difference, e.g.
+    ["event 103: sim [r59] p0 -> p1 : (3,g2), real [r59] p0 terminates"]
+    (events counted from 0). Equal streams imply equal work, messages,
+    rounds, persists, restarts and crashes. *)

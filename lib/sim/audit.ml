@@ -187,38 +187,38 @@ let restarted t ~pid ~round =
     else note_wf t round (Restarts_while_up { pid })
   end
 
+(* The execution events the checks read; a harness's persists, tampers
+   and rejects, and timing spans, say nothing about them. *)
 let feed ?(passive_msg = fun _ -> false) t = function
-  | Trace.Stepped { pid; round } -> stepped t ~pid ~round
-  | Trace.Sent { src; round; what; _ } ->
-      sent t ~src ~round ~passive:(passive_msg what)
-  | Trace.Dropped { round; _ } -> dropped t ~round
-  | Trace.Worked { pid; round; unit_id } -> worked t ~pid ~round ~unit_id
-  | Trace.Crashed_ev { pid; round } -> crashed t ~pid ~round
-  | Trace.Restarted_ev { pid; round } -> restarted t ~pid ~round
-  | Trace.Terminated_ev { pid; round } -> terminated t ~pid ~round
+  | Obs.Step { pid; at } -> stepped t ~pid ~round:at
+  | Obs.Send { src; at; tag; _ } -> sent t ~src ~round:at ~passive:(passive_msg tag)
+  | Obs.Drop { at; _ } -> dropped t ~round:at
+  | Obs.Work { pid; at; unit_id } -> worked t ~pid ~round:at ~unit_id
+  | Obs.Crash { pid; at } -> crashed t ~pid ~round:at
+  | Obs.Restart { pid; at } -> restarted t ~pid ~round:at
+  | Obs.Terminate { pid; at } -> terminated t ~pid ~round:at
+  | Obs.Persist _ | Obs.Tamper _ | Obs.Reject _ | Obs.Span_begin _ | Obs.Span_end _ -> ()
 
-let replay ?passive_msg ?checks trace =
-  let events = Trace.events trace in
+let replay ?passive_msg ?checks events =
   let processes, units =
     List.fold_left
-      (fun (p, u) ev ->
-        match ev with
-        | Trace.Worked { pid; unit_id; _ } -> (max p (pid + 1), max u (unit_id + 1))
-        | Trace.Stepped { pid; _ }
-        | Trace.Crashed_ev { pid; _ }
-        | Trace.Restarted_ev { pid; _ }
-        | Trace.Terminated_ev { pid; _ }
-        | Trace.Sent { src = pid; _ } -> (max p (pid + 1), u)
-        | Trace.Dropped _ -> (p, u))
+      (fun (p, u) -> function
+        | Obs.Work { pid; unit_id; _ } -> (max p (pid + 1), max u (unit_id + 1))
+        | Obs.Step { pid; _ }
+        | Obs.Crash { pid; _ }
+        | Obs.Restart { pid; _ }
+        | Obs.Terminate { pid; _ }
+        | Obs.Send { src = pid; _ } -> (max p (pid + 1), u)
+        | _ -> (p, u))
       (0, 0) events
   in
   let t = create ?checks ~processes ~units () in
   List.iter (feed ?passive_msg t) events;
   t
 
-let replay_one ?passive_msg check trace =
-  violations (replay ?passive_msg ~checks:[ check ] trace) check
+let replay_one ?passive_msg check events =
+  violations (replay ?passive_msg ~checks:[ check ] events) check
 
-let well_formed trace = replay_one Well_formed trace
-let at_most_one_active ?passive_msg trace = replay_one ?passive_msg One_active trace
-let work_is_monotone trace = replay_one Monotone trace
+let well_formed events = replay_one Well_formed events
+let at_most_one_active ?passive_msg events = replay_one ?passive_msg One_active events
+let work_is_monotone events = replay_one Monotone events

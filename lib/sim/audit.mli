@@ -3,13 +3,14 @@
 
     A checker is armed with the checks it should run and fed one call per
     event, in execution order. {!Kernel.run} feeds the checker of its
-    [audit] field at the sites where it would build {!Trace} events, so a
-    campaign judges these invariants without recording a trace. A checker
-    keeps O(processes + units) state, allocates nothing per event, and
-    keeps each violation as data, formatted only when printed
-    ({!pp_violation}). Recorded traces (a real fleet's, or hand-built ones)
-    are judged by replaying them through the same checker ({!replay} and
-    the three trace functions at the end), so each invariant has one
+    [audit] field at the sites where it would emit {!Obs} events, without
+    building any event, so a campaign judges these invariants without
+    recording a trace. A checker keeps O(processes + units) state,
+    allocates nothing per event, and keeps each violation as data,
+    formatted only when printed ({!pp_violation}). Recorded event streams
+    (an [Obs.memory] sink's, a real fleet's, or hand-built ones) are
+    judged by replaying them through the same checker ({!replay} and the
+    three functions at the end), so each invariant has one
     implementation. *)
 
 type check =
@@ -82,14 +83,18 @@ val crashed : t -> pid:Types.pid -> round:Types.round -> unit
 val restarted : t -> pid:Types.pid -> round:Types.round -> unit
 val terminated : t -> pid:Types.pid -> round:Types.round -> unit
 
-(** {1 Recorded traces} *)
+(** {1 Recorded streams}
 
-val replay : ?passive_msg:(string -> bool) -> ?checks:check list -> Trace.t -> t
-(** A checker sized to the trace (its largest pid and unit id) and fed
-    every event of it; [passive_msg] classifies a [Sent] event's rendered
-    payload (default: nothing is passive). *)
+    Only execution events are fed: [Persist], [Tamper], [Reject] and span
+    events are skipped. *)
 
-val well_formed : Trace.t -> violation list
+val replay :
+  ?passive_msg:(string -> bool) -> ?checks:check list -> Obs.event list -> t
+(** A checker sized to the stream (its largest pid and unit id) and fed
+    every execution event of it; [passive_msg] classifies a [Send] event's
+    tag, the rendered payload (default: nothing is passive). *)
+
+val well_formed : Obs.event list -> violation list
 val at_most_one_active :
-  ?passive_msg:(string -> bool) -> Trace.t -> violation list
-val work_is_monotone : Trace.t -> violation list
+  ?passive_msg:(string -> bool) -> Obs.event list -> violation list
+val work_is_monotone : Obs.event list -> violation list

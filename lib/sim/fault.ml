@@ -5,6 +5,28 @@ type delivery = All | Prefix of int | Indices of int list
 
 type decision = Survive | Crash of { keep_work : bool; delivery : delivery }
 
+let split_delivery decision sends =
+  match decision with
+  | All -> (sends, [])
+  | Prefix k ->
+      let rec split i acc = function
+        | [] -> (List.rev acc, [])
+        | rest when i = k -> (List.rev acc, rest)
+        | s :: rest -> split (i + 1) (s :: acc) rest
+      in
+      split 0 [] sends
+  | Indices idx ->
+      let keep = List.sort_uniq compare idx in
+      let kept, dropped =
+        List.fold_left
+          (fun (i, (k, d)) s ->
+            if List.mem i keep then (i + 1, (s :: k, d)) else (i + 1, (k, s :: d)))
+          (0, ([], []))
+          sends
+        |> snd
+      in
+      (List.rev kept, List.rev dropped)
+
 type tamper_kind = Lying_view | Replay_stale | Inflate_done
 
 type tamper = { t_kind : tamper_kind; t_salt : int }

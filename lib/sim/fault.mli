@@ -25,6 +25,11 @@ type decision =
           [keep_work = true] whenever [delivery] lets at least one message
           out. *)
 
+val split_delivery : delivery -> 'a list -> 'a list * 'a list
+(** [split_delivery d sends] is the [(delivered, dropped)] split a crash's
+    [delivery] makes of the victim's round of sends, each part in send
+    order. Shared by the kernel and the real-process orchestrator. *)
+
 type tamper_kind =
   | Lying_view  (** claim a later/terminal view than reality *)
   | Replay_stale  (** re-send a stale (earlier) checkpoint view *)

@@ -18,7 +18,6 @@ type 'm config = {
   n_units : int;
   fault : Fault.t;
   max_rounds : round;
-  trace : Trace.t option;
   obs : Obs.sink option;
   show : 'm -> string;
   spans : Obs.sink option;
@@ -27,11 +26,11 @@ type 'm config = {
   passive : 'm -> bool;
 }
 
-let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?trace ?obs
+let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?obs
     ?(show = fun _ -> "<msg>") ?spans ?tamper ?audit
     ?(passive = fun _ -> false) ~n_processes ~n_units () =
-  { n_processes; n_units; fault; max_rounds; trace; obs; show; spans; tamper;
-    audit; passive }
+  { n_processes; n_units; fault; max_rounds; obs; show; spans; tamper; audit;
+    passive }
 
 (* One round loop for every adversary. A processed round visits, in pid
    order, only the pids something can happen to: those with a wakeup due,
@@ -49,7 +48,7 @@ let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?trace ?obs
    or after its round, and never creates a processed round of its own —
    exactly when a sweep over all t pids would have observed it. Nothing is
    ever scanned per round, the loop allocates nothing of its own (a
-   non-trivial plan is handed one step view per step), and every trace/obs
+   non-trivial plan is handed one step view per step), and every obs
    event is constructed only when a sink is attached. The audit checker is
    fed at the same sites, behind the same one-boolean guard. *)
 
@@ -119,12 +118,11 @@ let run ?recover ?metrics cfg proc =
   in
   (* A trivial plan answers [Survive] to every step: skip building the view. *)
   let consult_plan = not (Fault.is_trivial cfg.fault) in
-  let observing = Option.is_some cfg.trace || Option.is_some cfg.obs in
   let has_obs = Option.is_some cfg.obs in
   let audit = cfg.audit in
-  (* Something listens for execution events: a trace, an obs sink or an
-     audit checker. *)
-  let noting = observing || Option.is_some audit in
+  (* Something listens for execution events: an obs sink or an audit
+     checker. *)
+  let noting = has_obs || Option.is_some audit in
   let statuses = Array.make t Running in
   let alive pid = match statuses.(pid) with Running -> true | _ -> false in
 
@@ -243,44 +241,40 @@ let run ?recover ?metrics cfg proc =
     touched_n.(idx) <- 0
   in
 
-  let trace_ev e =
-    (match cfg.trace with Some tr -> Trace.record tr e | None -> ());
-    match cfg.obs with Some sink -> sink (Obs.of_trace_event e) | None -> ()
-  in
   let obs_ev e = match cfg.obs with Some sink -> sink e | None -> () in
   (* One note per execution event, for whoever listens ([noting]). *)
   let note_stepped pid r =
-    if observing then trace_ev (Trace.Stepped { pid; round = r });
+    if has_obs then obs_ev (Obs.Step { pid; at = r });
     match audit with Some a -> Audit.stepped a ~pid ~round:r | None -> ()
   in
   let note_worked pid r u =
-    if observing then trace_ev (Trace.Worked { pid; round = r; unit_id = u });
+    if has_obs then obs_ev (Obs.Work { pid; at = r; unit_id = u });
     match audit with
     | Some a -> Audit.worked a ~pid ~round:r ~unit_id:u
     | None -> ()
   in
   let note_sent pid r dst payload =
-    if observing then
-      trace_ev (Trace.Sent { src = pid; dst; round = r; what = cfg.show payload });
+    if has_obs then
+      obs_ev (Obs.Send { src = pid; dst; at = r; tag = cfg.show payload });
     match audit with
     | Some a -> Audit.sent a ~src:pid ~round:r ~passive:(cfg.passive payload)
     | None -> ()
   in
   let note_dropped pid r dst payload =
-    if observing then
-      trace_ev (Trace.Dropped { src = pid; dst; round = r; what = cfg.show payload });
+    if has_obs then
+      obs_ev (Obs.Drop { src = pid; dst; at = r; tag = cfg.show payload });
     match audit with Some a -> Audit.dropped a ~round:r | None -> ()
   in
   let note_crashed pid r =
-    if observing then trace_ev (Trace.Crashed_ev { pid; round = r });
+    if has_obs then obs_ev (Obs.Crash { pid; at = r });
     match audit with Some a -> Audit.crashed a ~pid ~round:r | None -> ()
   in
   let note_restarted pid r =
-    if observing then trace_ev (Trace.Restarted_ev { pid; round = r });
+    if has_obs then obs_ev (Obs.Restart { pid; at = r });
     match audit with Some a -> Audit.restarted a ~pid ~round:r | None -> ()
   in
   let note_terminated pid r =
-    if observing then trace_ev (Trace.Terminated_ev { pid; round = r });
+    if has_obs then obs_ev (Obs.Terminate { pid; at = r });
     match audit with Some a -> Audit.terminated a ~pid ~round:r | None -> ()
   in
   (* Incarnation counters for span context: 0 until the first restart. *)
@@ -392,28 +386,6 @@ let run ?recover ?metrics cfg proc =
     let c = wake_peek () in
     let c = if !pending_sent_at >= 0 then min c (!pending_sent_at + 1) else c in
     min_restart c !restart_queue
-  in
-  let apply_delivery_filter decision sends =
-    match decision with
-    | Fault.All -> (sends, [])
-    | Fault.Prefix k ->
-        let rec split i acc = function
-          | [] -> (List.rev acc, [])
-          | rest when i = k -> (List.rev acc, rest)
-          | s :: rest -> split (i + 1) (s :: acc) rest
-        in
-        split 0 [] sends
-    | Fault.Indices idx ->
-        let keep = List.sort_uniq compare idx in
-        let kept, dropped =
-          List.fold_left
-            (fun (i, (k, d)) s ->
-              if List.mem i keep then (i + 1, (s :: k, d)) else (i + 1, (k, s :: d)))
-            (0, ([], []))
-            sends
-          |> snd
-        in
-        (List.rev kept, List.rev dropped)
   in
   let rec commit_work pid r = function
     | [] -> ()
@@ -533,7 +505,7 @@ let run ?recover ?metrics cfg proc =
             | None -> wakeups.(pid) <- -1
           end
       | Fault.Crash { keep_work; delivery } ->
-          let delivered, dropped = apply_delivery_filter delivery o.sends in
+          let delivered, dropped = Fault.split_delivery delivery o.sends in
           (* Program-order causality: within a round, work precedes sends, so
              a crash that lets any message out must also let the work count
              (otherwise a victim could announce work it never performed). *)

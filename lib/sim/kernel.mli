@@ -64,11 +64,14 @@ type 'm config = {
   n_units : int;  (** sizing for per-unit multiplicity accounting *)
   fault : Fault.t;
   max_rounds : round;  (** hard abort guard; [max_int] for "no limit" *)
-  trace : Trace.t option;
   obs : Obs.sink option;
-      (** structured event sink, fed the same events as [trace] as they
-          happen (see {!Obs}); independent of [trace] *)
-  show : 'm -> string;  (** payload printer for traces (unused without) *)
+      (** execution-event sink (see {!Obs}), fed every step, send, drop,
+          work, crash, restart and terminate as it happens, plus a [Tamper]
+          per corrupted payload; record a trace with [Obs.memory]. [None]
+          (the default) builds no event. *)
+  show : 'm -> string;
+      (** payload printer for [Send]/[Drop] events' tags (unused without
+          [obs]) *)
   spans : Obs.sink option;
       (** timing sink, fed only [Obs.Span_begin]/[Span_end] pairs around
           each processed round ([pid = -1]), each process step, and each
@@ -81,11 +84,12 @@ type 'm config = {
           model, corruptions are inert and Byzantine entries degrade to
           silent crashes at their activation round *)
   audit : Audit.t option;
-      (** streaming invariant checker, fed every event [trace] would record,
-          in the same order, as it happens — no trace is built and no
-          payload rendered for it. It allocates nothing per event; [None]
-          (the default) costs one boolean test per event site. Forged
-          Byzantine traffic is not fed, as it is not traced. *)
+      (** streaming invariant checker, fed every execution event [obs]
+          would receive (all but [Tamper]), in the same order, as it
+          happens — no event is built and no payload rendered for it. It
+          allocates nothing per event; [None] (the default) costs one
+          boolean test per event site. Forged Byzantine traffic is not fed:
+          it reaches [obs] only as [Tamper] events. *)
   passive : 'm -> bool;
       (** which payloads an inactive process may send, for [audit]'s
           [One_active] check (see {!Audit.check}); default: none *)
@@ -94,7 +98,6 @@ type 'm config = {
 val config :
   ?fault:Fault.t ->
   ?max_rounds:round ->
-  ?trace:Trace.t ->
   ?obs:Obs.sink ->
   ?show:('m -> string) ->
   ?spans:Obs.sink ->
@@ -106,8 +109,8 @@ val config :
   unit ->
   'm config
 (** Convenience constructor; defaults: no faults, [max_rounds = max_int / 2],
-    no trace, no observability sink, no span sink, no tamper model, no
-    audit checker.
+    no observability sink, no span sink, no tamper model, no audit
+    checker.
 
     With a tamper model, a pid listed by {!Fault.byzantine_from} stops
     running the protocol from its activation round: each round it emits
@@ -146,7 +149,7 @@ val run :
     [metrics] substitutes a caller-created accumulator (needed to count
     stable-storage writes from a {!Stable.create} [on_write] hook into the
     same object); by default a fresh one is created. Restarts are counted
-    via {!Metrics.record_restart} and traced as {!Trace.Restarted_ev}.
+    via {!Metrics.record_restart} and observed as [Obs.Restart].
 
     @raise Invalid_argument if a step returns a wakeup not strictly in the
     future. *)

@@ -63,16 +63,29 @@ let jsonl oc e =
   output_string oc (Jsonw.to_string (event_to_json e));
   output_char oc '\n'
 
-let of_trace_event : Trace.event -> event = function
-  | Trace.Stepped { pid; round } -> Step { pid; at = round }
-  | Trace.Sent { src; dst; round; what } -> Send { src; dst; at = round; tag = what }
-  | Trace.Dropped { src; dst; round; what } -> Drop { src; dst; at = round; tag = what }
-  | Trace.Worked { pid; round; unit_id } -> Work { pid; at = round; unit_id }
-  | Trace.Crashed_ev { pid; round } -> Crash { pid; at = round }
-  | Trace.Restarted_ev { pid; round } -> Restart { pid; at = round }
-  | Trace.Terminated_ev { pid; round } -> Terminate { pid; at = round }
+let pp_event ppf = function
+  | Step { pid; at } -> Format.fprintf ppf "[r%d] p%d steps" at pid
+  | Send { src; dst; at; tag } ->
+      Format.fprintf ppf "[r%d] p%d -> p%d : %s" at src dst tag
+  | Drop { src; dst; at; tag } ->
+      Format.fprintf ppf "[r%d] p%d -/-> p%d : %s (crash)" at src dst tag
+  | Work { pid; at; unit_id } ->
+      Format.fprintf ppf "[r%d] p%d performs unit %d" at pid unit_id
+  | Crash { pid; at } -> Format.fprintf ppf "[r%d] p%d CRASHES" at pid
+  | Restart { pid; at } -> Format.fprintf ppf "[r%d] p%d RESTARTS" at pid
+  | Persist { pid; at } -> Format.fprintf ppf "[r%d] p%d persists" at pid
+  | Tamper { pid; at } -> Format.fprintf ppf "[r%d] p%d payload TAMPERED" at pid
+  | Reject { pid; at } -> Format.fprintf ppf "[r%d] p%d rejects a message" at pid
+  | Terminate { pid; at } -> Format.fprintf ppf "[r%d] p%d terminates" at pid
+  | Span_begin { name; pid; at; inc; _ } ->
+      Format.fprintf ppf "[r%d] p%d begins %s (inc %d)" at pid name inc
+  | Span_end { name; pid; at; inc; _ } ->
+      Format.fprintf ppf "[r%d] p%d ends %s (inc %d)" at pid name inc
 
-let replay trace sink = List.iter (fun e -> sink (of_trace_event e)) (Trace.events trace)
+let pp ?(limit = max_int) ppf events =
+  List.iteri (fun i e -> if i < limit then Format.fprintf ppf "%a@." pp_event e) events;
+  let more = List.length events - limit in
+  if more > 0 then Format.fprintf ppf "... (+%d more events)@." more
 
 (* ------------------------------------------------------------------ *)
 (* Span collector: pair Span_begin/Span_end into completed Spanfile

@@ -1,14 +1,18 @@
-(** Structured observability: one typed event stream over both substrates.
+(** Structured observability: the one execution-event type, over both
+    substrates.
 
-    The synchronous kernel ({!Kernel}, via [?obs] in its config) and the
-    asynchronous executor ([Asim.Event_sim], likewise) emit the same
-    {!type:event} alphabet — step, send, drop, work, crash, terminate — each
-    stamped with the round (sync) or tick (async) it happened at. A {!sink}
-    consumes the stream as it is produced; sinks compose with {!tee}.
+    The synchronous kernel ({!Kernel}, via [?obs] in its config), the
+    asynchronous executor ([Asim.Event_sim], likewise) and the lockstep
+    real-process orchestrator all write an execution down as a stream of
+    {!type:event}s — step, send, drop, work, crash, restart, terminate,
+    plus the harnesses' persist, tamper and reject — each stamped with the
+    round (sync) or tick (async) it happened at. A {!sink} consumes the
+    stream as it is produced; sinks compose with {!tee}.
 
-    Built-in sinks: {!memory} (capture), {!jsonl} (one compact JSON object
-    per line, schema [{"ev", "at", ...}]), and {!Timeline} (per-round
-    aggregates with an ASCII sparkline renderer).
+    Built-in sinks: {!memory} (capture: a recorded trace is a memory
+    sink's list, printed by {!pp} and judged by [Audit.replay]), {!jsonl}
+    (one compact JSON object per line, schema [{"ev", "at", ...}]), and
+    {!Timeline} (per-round aggregates with an ASCII sparkline renderer).
 
     Events are emitted exactly where {!Metrics} records, so a {!Timeline}
     folded from the stream reproduces the run's metric totals — a property
@@ -21,15 +25,16 @@ type event =
   | Step of { pid : pid; at : int }  (** a process was scheduled *)
   | Send of { src : pid; dst : pid; at : int; tag : string }
   | Drop of { src : pid; dst : pid; at : int; tag : string }
-      (** a send suppressed by a mid-broadcast crash (sync kernel only;
-          async link losses are accounted in [Event_sim.net]) *)
+      (** a send suppressed by a mid-broadcast crash (synchronous rounds
+          only; async link losses are accounted in [Event_sim.net]) *)
   | Work of { pid : pid; at : int; unit_id : int }
   | Crash of { pid : pid; at : int }
   | Restart of { pid : pid; at : int }
       (** a crashed process revived by the adversary's restart schedule *)
   | Persist of { pid : pid; at : int }
       (** a stable-storage write ({!Stable.write}); emitted by the recovery
-          harness' [on_write] hook, not by the kernel *)
+          harness' [on_write] hook, not by the kernel, so it falls inside
+          the writer's step: after its [Step], before its [Work] *)
   | Tamper of { pid : pid; at : int }
       (** one adversary-corrupted payload — a Byzantine forgery by [pid] or
           an in-flight mutation of [pid]'s outgoing message (sync kernel
@@ -68,11 +73,15 @@ val jsonl : out_channel -> sink
 
 val event_to_json : event -> Dhw_util.Jsonw.t
 
-val of_trace_event : Trace.event -> event
+val pp_event : Format.formatter -> event -> unit
+(** One line, e.g. ["[r3] p0 -> p1 : (1)"], ["[r4] p2 performs unit 7"] or
+    ["[r5] p1 CRASHES"]. Span events print without their wall-clock
+    stamp. *)
 
-val replay : Trace.t -> sink -> unit
-(** Feed a recorded {!Trace} through a sink, in recorded order — the bridge
-    for post-hoc analysis of runs that only kept a trace. *)
+val pp : ?limit:int -> Format.formatter -> event list -> unit
+(** Print the first [limit] events (all without), one per line; a
+    truncated tail is announced with a ["... (+k more events)"] suffix
+    rather than cut silently. *)
 
 val span_collector :
   src:string -> unit -> sink * (unit -> Dhw_util.Spanfile.span list)

@@ -4,12 +4,13 @@ module Prng = Dhw_util.Prng
 
 let spec ~n ~t = Doall.Spec.make ~n ~t
 
-let run ?fault ?max_rounds ?trace s p = Doall.Runner.run ?fault ?max_rounds ?trace s p
+let run ?fault ?max_rounds s p = Doall.Runner.run ?fault ?max_rounds s p
 
+(* A run and its recorded event stream. *)
 let run_traced ?fault s p =
-  let trace = Simkit.Trace.create () in
-  let report = Doall.Runner.run ?fault ~trace s p in
-  (report, trace)
+  let obs, recorded = Simkit.Obs.memory () in
+  let report = Doall.Runner.run ?fault ~obs s p in
+  (report, recorded ())
 
 let check_correct name report =
   Alcotest.(check bool)

@@ -6,8 +6,8 @@
    scanning every pid's wakeup. This is O(t) per round and deliberately
    naive: it is the executable statement of the kernel's semantics that
    [Simkit.Kernel.run] must reproduce exactly (statuses, outcome, metrics,
-   trace, observability stream and span structure), checked by the
-   differential law in test_kernel_diff.ml. Span timestamps are 0. *)
+   observability stream and span structure), checked by the differential
+   law in test_kernel_diff.ml. Span timestamps are 0. *)
 
 open Simkit
 open Types
@@ -36,10 +36,6 @@ let run ?recover ?metrics (cfg : 'm Kernel.config) (proc : ('s, 'm) process) :
         s)
   in
   let incs = Array.make t 0 in
-  let trace_ev e =
-    (match cfg.trace with Some tr -> Trace.record tr e | None -> ());
-    match cfg.obs with Some sink -> sink (Obs.of_trace_event e) | None -> ()
-  in
   let obs_ev e = match cfg.obs with Some sink -> sink e | None -> () in
   let with_span ~name ~pid ~inc r f =
     match cfg.spans with
@@ -90,7 +86,7 @@ let run ?recover ?metrics (cfg : 'm Kernel.config) (proc : ('s, 'm) process) :
             wakeups.(pid) <- Option.value ~default:(-1) w;
             Fault.note_restart cfg.fault pid r;
             Metrics.record_restart metrics pid r;
-            trace_ev (Trace.Restarted_ev { pid; round = r })
+            obs_ev (Obs.Restart { pid; at = r })
           end;
           go ()
       | _ -> ()
@@ -134,12 +130,12 @@ let run ?recover ?metrics (cfg : 'm Kernel.config) (proc : ('s, 'm) process) :
   let commit_work pid r =
     List.iter (fun u ->
         Metrics.record_work metrics pid u;
-        trace_ev (Trace.Worked { pid; round = r; unit_id = u }))
+        obs_ev (Obs.Work { pid; at = r; unit_id = u }))
   in
   let commit_sends pid r =
     List.iter (fun { dst; payload } ->
         Metrics.record_send metrics pid;
-        trace_ev (Trace.Sent { src = pid; dst; round = r; what = cfg.show payload });
+        obs_ev (Obs.Send { src = pid; dst; at = r; tag = cfg.show payload });
         if dst >= 0 && dst < t then enqueue dst { src = pid; sent_at = r; payload })
   in
   let tampered_sends pid r (o : ('s, 'm) outcome) =
@@ -165,7 +161,7 @@ let run ?recover ?metrics (cfg : 'm Kernel.config) (proc : ('s, 'm) process) :
   let step_pid r pid mail =
     let w = wakeups.(pid) in
     if mail <> [] || (w >= 0 && w <= r) then begin
-      trace_ev (Trace.Stepped { pid; round = r });
+      obs_ev (Obs.Step { pid; at = r });
       let o =
         with_span ~name:"step" ~pid ~inc:incs.(pid) r (fun () ->
             proc.step pid r states.(pid) mail)
@@ -190,7 +186,7 @@ let run ?recover ?metrics (cfg : 'm Kernel.config) (proc : ('s, 'm) process) :
             statuses.(pid) <- Terminated r;
             wakeups.(pid) <- -1;
             Metrics.record_terminate metrics pid r;
-            trace_ev (Trace.Terminated_ev { pid; round = r })
+            obs_ev (Obs.Terminate { pid; at = r })
           end
           else begin
             match o.wakeup with
@@ -208,11 +204,11 @@ let run ?recover ?metrics (cfg : 'm Kernel.config) (proc : ('s, 'm) process) :
           commit_sends pid r delivered;
           List.iter
             (fun { dst; payload } ->
-              trace_ev (Trace.Dropped { src = pid; dst; round = r; what = cfg.show payload }))
+              obs_ev (Obs.Drop { src = pid; dst; at = r; tag = cfg.show payload }))
             dropped;
           crash pid r;
           Metrics.record_round metrics r;
-          trace_ev (Trace.Crashed_ev { pid; round = r })
+          obs_ev (Obs.Crash { pid; at = r })
     end
   in
   let round_body r =
@@ -228,7 +224,7 @@ let run ?recover ?metrics (cfg : 'm Kernel.config) (proc : ('s, 'm) process) :
       if alive pid then begin
         if Fault.crashed_by cfg.fault pid r || byz_degraded_crash pid r then begin
           crash pid r;
-          trace_ev (Trace.Crashed_ev { pid; round = r })
+          obs_ev (Obs.Crash { pid; at = r })
         end
         else if byz_active pid r then begin
           (match cfg.tamper with

@@ -1,79 +1,68 @@
 (* The Simkit.Audit checkers themselves: they must accept clean traces and
    flag synthetically corrupted ones, give the post-hoc reference's
-   violation lists (Ref_audit) whether the kernel feeds them or a trace is
-   replayed through them, and cost nothing per event. *)
+   violation lists (Ref_audit) whether the kernel feeds them or a recorded
+   event stream is replayed through them, and cost nothing per event. *)
 
-module T = Simkit.Trace
+module O = Simkit.Obs
 module A = Simkit.Audit
 module C = Simkit.Campaign
 module Fuzz = Doall.Fuzz
 
-let mk events =
-  let tr = T.create () in
-  List.iter (T.record tr) events;
-  tr
-
 let test_well_formed_accepts () =
   let tr =
-    mk
-      [
-        T.Stepped { pid = 0; round = 0 };
-        T.Worked { pid = 0; round = 0; unit_id = 0 };
-        T.Sent { src = 0; dst = 1; round = 1; what = "(1)" };
-        T.Terminated_ev { pid = 0; round = 2 };
-        T.Crashed_ev { pid = 1; round = 3 };
-      ]
+    [
+      O.Step { pid = 0; at = 0 };
+      O.Work { pid = 0; at = 0; unit_id = 0 };
+      O.Send { src = 0; dst = 1; at = 1; tag = "(1)" };
+      O.Terminate { pid = 0; at = 2 };
+      O.Crash { pid = 1; at = 3 };
+    ]
   in
   Alcotest.(check int) "clean" 0 (List.length (A.well_formed tr))
 
 let test_well_formed_flags_zombie () =
   let tr =
-    mk
-      [
-        T.Crashed_ev { pid = 0; round = 1 };
-        T.Worked { pid = 0; round = 2; unit_id = 3 };
-      ]
+    [
+      O.Crash { pid = 0; at = 1 };
+      O.Work { pid = 0; at = 2; unit_id = 3 };
+    ]
   in
   Alcotest.(check int) "zombie work flagged" 1 (List.length (A.well_formed tr))
 
 let test_well_formed_flags_double_retire () =
   let tr =
-    mk
-      [
-        T.Terminated_ev { pid = 0; round = 1 };
-        T.Crashed_ev { pid = 0; round = 2 };
-      ]
+    [
+      O.Terminate { pid = 0; at = 1 };
+      O.Crash { pid = 0; at = 2 };
+    ]
   in
   Alcotest.(check int) "double retirement flagged" 1 (List.length (A.well_formed tr))
 
 let test_well_formed_flags_time_travel () =
   let tr =
-    mk
-      [
-        T.Stepped { pid = 0; round = 5 };
-        T.Stepped { pid = 1; round = 3 };
-      ]
+    [
+      O.Step { pid = 0; at = 5 };
+      O.Step { pid = 1; at = 3 };
+    ]
   in
   Alcotest.(check int) "backwards trace flagged" 1 (List.length (A.well_formed tr))
 
 let test_one_active_flags_pair () =
   let tr =
-    mk
-      [
-        T.Worked { pid = 0; round = 4; unit_id = 0 };
-        T.Worked { pid = 1; round = 4; unit_id = 1 };
-      ]
+    [
+      O.Work { pid = 0; at = 4; unit_id = 0 };
+      O.Work { pid = 1; at = 4; unit_id = 1 };
+    ]
   in
   Alcotest.(check int) "two actives flagged" 1
     (List.length (A.at_most_one_active tr))
 
 let test_one_active_respects_passive () =
   let tr =
-    mk
-      [
-        T.Worked { pid = 0; round = 4; unit_id = 0 };
-        T.Sent { src = 2; dst = 0; round = 4; what = "go_ahead" };
-      ]
+    [
+      O.Work { pid = 0; at = 4; unit_id = 0 };
+      O.Send { src = 2; dst = 0; at = 4; tag = "go_ahead" };
+    ]
   in
   Alcotest.(check int) "passive sender tolerated" 0
     (List.length (A.at_most_one_active ~passive_msg:(( = ) "go_ahead") tr));
@@ -82,21 +71,19 @@ let test_one_active_respects_passive () =
 
 let test_monotone_work () =
   let good =
-    mk
-      [
-        T.Worked { pid = 0; round = 0; unit_id = 0 };
-        T.Worked { pid = 0; round = 1; unit_id = 1 };
-        T.Worked { pid = 1; round = 9; unit_id = 1 } (* redo: fine *);
-        T.Worked { pid = 1; round = 10; unit_id = 2 };
-      ]
+    [
+      O.Work { pid = 0; at = 0; unit_id = 0 };
+      O.Work { pid = 0; at = 1; unit_id = 1 };
+      O.Work { pid = 1; at = 9; unit_id = 1 } (* redo: fine *);
+      O.Work { pid = 1; at = 10; unit_id = 2 };
+    ]
   in
   Alcotest.(check int) "monotone accepted" 0 (List.length (A.work_is_monotone good));
   let bad =
-    mk
-      [
-        T.Worked { pid = 0; round = 0; unit_id = 5 };
-        T.Worked { pid = 1; round = 3; unit_id = 2 } (* first perf, below 5 *);
-      ]
+    [
+      O.Work { pid = 0; at = 0; unit_id = 5 };
+      O.Work { pid = 1; at = 3; unit_id = 2 } (* first perf, below 5 *);
+    ]
   in
   Alcotest.(check int) "regression flagged" 1 (List.length (A.work_is_monotone bad))
 
@@ -105,9 +92,10 @@ let test_real_traces_clean () =
   let spec = Doall.Spec.make ~n:24 ~t:9 in
   List.iter
     (fun (proto, passive) ->
-      let trace = Simkit.Trace.create () in
+      let obs, recorded = O.memory () in
       let fault = Simkit.Fault.crash_silently_at [ (0, 9); (3, 60) ] in
-      ignore (Doall.Runner.run ~fault ~trace spec proto);
+      ignore (Doall.Runner.run ~fault ~obs spec proto);
+      let trace = recorded () in
       Alcotest.(check int) "well formed" 0 (List.length (A.well_formed trace));
       Alcotest.(check int) "one active" 0
         (List.length (A.at_most_one_active ~passive_msg:passive trace));
@@ -194,19 +182,27 @@ let agree c =
     | Sampled s -> C.Schedule.to_fault s
     | Random { seed; victims; window } -> Simkit.Fault.random ~seed ~t:c.t ~victims ~window
   in
-  let trace = T.create () in
+  let obs, recorded = O.memory () in
   let audit = A.create ~processes:c.t ~units:c.n () in
   let max_rounds = 1_000_000 in
   (match subject with
-  | P proto -> ignore (Doall.Runner.run ~fault ~max_rounds ~trace ~audit spec proto)
-  | Rec which -> ignore (Doall.Recovery.run ~fault ~max_rounds ~trace ~audit spec which));
+  | P proto -> ignore (Doall.Runner.run ~fault ~max_rounds ~obs ~audit spec proto)
+  | Rec which -> ignore (Doall.Recovery.run ~fault ~max_rounds ~obs ~audit spec which));
+  let events = recorded () in
+  (* The same stream replayed: passivity judged by tag text must agree with
+     passivity judged by payload, and the recovery runs' persists must be
+     skipped. *)
+  let replayed = A.replay ~passive_msg events in
   List.iteri
     (fun i (check, name, reference) ->
       let streaming = texts (A.violations audit check) in
       if streaming <> [] then flagged.(i) <- flagged.(i) + 1;
       same_lists
         (name ^ " on " ^ case_to_string c)
-        ~streaming ~reference:(ref_texts (reference trace)))
+        ~streaming ~reference:(ref_texts (reference events));
+      same_lists
+        (name ^ " replayed on " ^ case_to_string c)
+        ~streaming:(texts (A.violations replayed check)) ~reference:streaming)
     [
       (A.Well_formed, "well-formed", Ref_audit.well_formed);
       (A.One_active, "one-active", Ref_audit.at_most_one_active ~passive_msg);
@@ -251,13 +247,13 @@ let gen_trace ~monotone_rounds =
         let what = if u < 2 then b_go else "ord" in
         let ev =
           match kind with
-          | 0 -> T.Stepped { pid = p; round }
-          | 1 -> T.Sent { src = p; dst = q; round; what }
-          | 2 -> T.Dropped { src = p; dst = q; round; what }
-          | 3 -> T.Worked { pid = p; round; unit_id = u }
-          | 4 -> T.Crashed_ev { pid = p; round }
-          | 5 -> T.Restarted_ev { pid = p; round }
-          | _ -> T.Terminated_ev { pid = p; round }
+          | 0 -> O.Step { pid = p; at = round }
+          | 1 -> O.Send { src = p; dst = q; at = round; tag = what }
+          | 2 -> O.Drop { src = p; dst = q; at = round; tag = what }
+          | 3 -> O.Work { pid = p; at = round; unit_id = u }
+          | 4 -> O.Crash { pid = p; at = round }
+          | 5 -> O.Restart { pid = p; at = round }
+          | _ -> O.Terminate { pid = p; at = round }
         in
         (round, ev :: acc))
       (0, []) steps
@@ -265,10 +261,9 @@ let gen_trace ~monotone_rounds =
   return (List.rev events)
 
 let print_trace events =
-  String.concat "\n" (List.map (Format.asprintf "%a" T.pp_event) events)
+  String.concat "\n" (List.map (Format.asprintf "%a" O.pp_event) events)
 
-let replay_agrees ~monotone_rounds events =
-  let tr = mk events in
+let replay_agrees ~monotone_rounds tr =
   let b = Fuzz.trace_audit ~protocol:"b" tr in
   let pairs =
     [
@@ -293,7 +288,7 @@ let replay_agrees ~monotone_rounds events =
   in
   List.iter
     (fun (what, streaming, reference) ->
-      same_lists (what ^ " on\n" ^ print_trace events) ~streaming
+      same_lists (what ^ " on\n" ^ print_trace tr) ~streaming
         ~reference:(ref_texts reference))
     pairs;
   true
@@ -305,8 +300,7 @@ let replay_law ~monotone_rounds =
        else "replayed traces = reference (rounds may go back)")
     (gen_trace ~monotone_rounds) (replay_agrees ~monotone_rounds)
 
-let check_same what events =
-  let tr = mk events in
+let check_same what tr =
   let b = Fuzz.trace_audit ~protocol:"b" tr in
   List.iter
     (fun (check, reference) ->
@@ -320,38 +314,37 @@ let check_same what events =
 let test_malformed_replays () =
   let b_go = Doall.Protocol_b.(show_msg Go_ahead) in
   check_same "double retire"
-    [ T.Crashed_ev { pid = 1; round = 2 }; T.Terminated_ev { pid = 1; round = 3 } ];
-  check_same "restart of a live pid" [ T.Restarted_ev { pid = 0; round = 1 } ];
+    [ O.Crash { pid = 1; at = 2 }; O.Terminate { pid = 1; at = 3 } ];
+  check_same "restart of a live pid" [ O.Restart { pid = 0; at = 1 } ];
   check_same "restart of a terminated pid"
-    [ T.Terminated_ev { pid = 2; round = 1 }; T.Restarted_ev { pid = 2; round = 4 };
-      T.Stepped { pid = 2; round = 5 } ];
+    [ O.Terminate { pid = 2; at = 1 }; O.Restart { pid = 2; at = 4 };
+      O.Step { pid = 2; at = 5 } ];
   check_same "restart revives a crashed pid"
-    [ T.Crashed_ev { pid = 0; round = 1 }; T.Restarted_ev { pid = 0; round = 3 };
-      T.Worked { pid = 0; round = 3; unit_id = 0 } ];
+    [ O.Crash { pid = 0; at = 1 }; O.Restart { pid = 0; at = 3 };
+      O.Work { pid = 0; at = 3; unit_id = 0 } ];
   check_same "two actives in one round, and a passive go-ahead"
-    [ T.Worked { pid = 0; round = 4; unit_id = 0 };
-      T.Sent { src = 1; dst = 0; round = 4; what = b_go };
-      T.Sent { src = 2; dst = 0; round = 4; what = "x" } ];
+    [ O.Work { pid = 0; at = 4; unit_id = 0 };
+      O.Send { src = 1; dst = 0; at = 4; tag = b_go };
+      O.Send { src = 2; dst = 0; at = 4; tag = "x" } ];
   check_same "late lower first performance"
-    [ T.Worked { pid = 0; round = 1; unit_id = 3 };
-      T.Worked { pid = 1; round = 2; unit_id = 1 };
-      T.Worked { pid = 1; round = 3; unit_id = 3 } ];
+    [ O.Work { pid = 0; at = 1; unit_id = 3 };
+      O.Work { pid = 1; at = 2; unit_id = 1 };
+      O.Work { pid = 1; at = 3; unit_id = 3 } ];
   let backwards =
-    [ T.Stepped { pid = 0; round = 5 }; T.Stepped { pid = 1; round = 3 } ]
+    [ O.Step { pid = 0; at = 5 }; O.Step { pid = 1; at = 3 } ]
   in
   check_same "a backwards round" backwards;
   Alcotest.(check (list string)) "the backwards step is named"
     [ "[r3] trace goes backwards (previous round 5)" ]
-    (texts (A.well_formed (mk backwards)))
+    (texts (A.well_formed backwards))
 
 (* Where the streaming one-active and the per-round table part: a round the
    trace returns to is started afresh. Well-formed rejects such a trace. *)
 let test_backwards_one_active () =
   let tr =
-    mk
-      [ T.Worked { pid = 0; round = 4; unit_id = 0 };
-        T.Worked { pid = 1; round = 5; unit_id = 1 };
-        T.Worked { pid = 2; round = 4; unit_id = 2 } ]
+    [ O.Work { pid = 0; at = 4; unit_id = 0 };
+      O.Work { pid = 1; at = 5; unit_id = 1 };
+      O.Work { pid = 2; at = 4; unit_id = 2 } ]
   in
   Alcotest.(check (list string)) "the table remembers round 4"
     [ "[r4] two active processes: 0 and 2" ]

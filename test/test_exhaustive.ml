@@ -30,9 +30,9 @@ let check_all name proto audits ~n ~t ~window =
       List.iter
         (fun schedule ->
           incr count;
-          let trace = Simkit.Trace.create () in
+          let obs, recorded = Simkit.Obs.memory () in
           let fault = Simkit.Fault.crash_silently_at schedule in
-          let report = Doall.Runner.run ~fault ~trace spec proto in
+          let report = Doall.Runner.run ~fault ~obs spec proto in
           let describe () =
             String.concat ","
               (List.map (fun (p, r) -> Printf.sprintf "%d@%d" p r) schedule)
@@ -43,7 +43,7 @@ let check_all name proto audits ~n ~t ~window =
           then Alcotest.failf "%s: work incomplete on [%s]" name (describe ());
           List.iter
             (fun audit ->
-              match audit trace with
+              match audit (recorded ()) with
               | [] -> ()
               | v :: _ ->
                   Alcotest.failf "%s: audit %s on [%s]" name
@@ -85,9 +85,9 @@ let check_all_acting name proto audits ~n ~t ~window ~cuts =
                     ))
                   schedule cutv
               in
-              let trace = Simkit.Trace.create () in
+              let obs, recorded = Simkit.Obs.memory () in
               let fault = Simkit.Fault.crash_acting_at entries in
-              let report = Doall.Runner.run ~fault ~trace spec proto in
+              let report = Doall.Runner.run ~fault ~obs spec proto in
               let describe () =
                 String.concat ","
                   (List.map2
@@ -102,7 +102,7 @@ let check_all_acting name proto audits ~n ~t ~window ~cuts =
               then Alcotest.failf "%s: work incomplete on [%s]" name (describe ());
               List.iter
                 (fun audit ->
-                  match audit trace with
+                  match audit (recorded ()) with
                   | [] -> ()
                   | v :: _ ->
                       Alcotest.failf "%s: audit %s on [%s]" name

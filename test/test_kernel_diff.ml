@@ -2,8 +2,8 @@
    restart and Byzantine activations as heap events) against the plain
    round sweep of Ref_kernel, on the same protocol, configuration and
    fault schedule. Both must agree on statuses, outcome, every Metrics
-   reader, the full Trace event list, the observability stream and the
-   round/step/deliver span structure (timestamps aside). The sweep
+   reader, the full observability stream and the round/step/deliver span
+   structure (timestamps aside). The sweep
    stable-sorts every inbox it collected by consing; the kernel appends to
    reusable per-destination buffers and builds a stepping receiver's list
    in that same order, which the D and D-coord variants and the
@@ -33,7 +33,6 @@ type seen = {
   statuses : status array;
   outcome : Kernel.run_outcome;
   readers : (string * int) list;
-  events : Trace.event list;
   stream : Obs.event list;
   spans : (string * pid * round * int * bool) list;
 }
@@ -58,10 +57,9 @@ let readers m ~n ~t =
    is passed in because harnesses wire stable-storage writes and rejections
    into the accumulator before the run. *)
 let observe k ~n ~t ~fault ?tamper ?recover ~show ~metrics ~max_rounds proc =
-  let trace = Trace.create () in
   let stream = ref [] and spans = ref [] in
   let cfg =
-    Kernel.config ~fault ~max_rounds ~trace ~show ?tamper
+    Kernel.config ~fault ~max_rounds ~show ?tamper
       ~obs:(fun e -> stream := e :: !stream)
       ~spans:(fun e ->
         match e with
@@ -75,7 +73,6 @@ let observe k ~n ~t ~fault ?tamper ?recover ~show ~metrics ~max_rounds proc =
     statuses = Array.copy res.statuses;
     outcome = res.outcome;
     readers = readers res.metrics ~n ~t;
-    events = Trace.events trace;
     stream = List.rev !stream;
     spans = List.rev !spans;
   }
@@ -110,8 +107,7 @@ let explain ?(names = ("kernel", "sweep")) a b =
        else None);
       diff "status" status_to_string (Array.to_list a.statuses) (Array.to_list b.statuses);
       diff "metric" (fun (k, v) -> Printf.sprintf "%s=%d" k v) a.readers b.readers;
-      diff "trace event" (Format.asprintf "%a" Trace.pp_event) a.events b.events;
-      diff "obs event" (fun e -> Dhw_util.Jsonw.to_string (Obs.event_to_json e)) a.stream b.stream;
+      diff "event" (Format.asprintf "%a" Obs.pp_event) a.stream b.stream;
       diff "span"
         (fun (name, pid, at, inc, b) ->
           Printf.sprintf "%s %s pid=%d at=%d inc=%d" (if b then "begin" else "end") name pid at inc)
@@ -280,7 +276,7 @@ let test_early_rejoin_wakeup () =
   (match explain a b with None -> () | Some why -> Alcotest.fail why);
   Alcotest.(check bool)
     "rejoiner steps in its restart round" true
-    (List.mem (Trace.Stepped { pid = 1; round = 5 }) a.events)
+    (List.mem (Obs.Step { pid = 1; at = 5 }) a.stream)
 
 (* Pid 2 sends two messages to pid 0 in a round while pid 1 sends one:
    both kernels deliver pid 1's message first, then pid 2's two in the

@@ -59,23 +59,46 @@ let test_event_json () =
     (J.to_string (Obs.event_to_json (Obs.Crash { pid = 5; at = 9 })));
   check_i "at" 9 (Obs.at (Obs.Crash { pid = 5; at = 9 }))
 
-let test_obs_stream_matches_trace () =
-  (* the kernel feeds trace and obs from the same emission points, so
-     replaying the trace must reproduce the live stream exactly *)
+let test_memory_tee_printer () =
   let spec = Helpers.spec ~n:24 ~t:6 in
-  let trace = Simkit.Trace.create () in
   let sink, captured = Obs.memory () in
   let fault = Simkit.Fault.crash_silently_at [ (0, 3); (2, 7) ] in
-  let _r = Doall.Runner.run ~fault ~trace ~obs:sink spec Doall.Protocol_a.protocol in
+  let _r = Doall.Runner.run ~fault ~obs:sink spec Doall.Protocol_a.protocol in
   let live = captured () in
   check_b "stream is non-empty" true (live <> []);
-  let sink2, captured2 = Obs.memory () in
-  Obs.replay trace sink2;
-  check_b "replay(trace) = live stream" true (captured2 () = live);
   (* tee duplicates the stream in order *)
   let s3, c3 = Obs.memory () and s4, c4 = Obs.memory () in
   List.iter (Obs.tee [ s3; s4 ]) live;
-  check_b "tee fans out" true (c3 () = live && c4 () = live)
+  check_b "tee fans out" true (c3 () = live && c4 () = live);
+  (* the printer: one line per event, a truncated tail announced *)
+  let line = Format.asprintf "%a" Obs.pp_event in
+  List.iter
+    (fun (want, e) -> check_s want want (line e))
+    [
+      ("[r2] p1 steps", Obs.Step { pid = 1; at = 2 });
+      ("[r2] p1 -> p3 : (1)", Obs.Send { src = 1; dst = 3; at = 2; tag = "(1)" });
+      ("[r2] p1 -/-> p3 : (1) (crash)", Obs.Drop { src = 1; dst = 3; at = 2; tag = "(1)" });
+      ("[r2] p1 performs unit 7", Obs.Work { pid = 1; at = 2; unit_id = 7 });
+      ("[r2] p1 CRASHES", Obs.Crash { pid = 1; at = 2 });
+      ("[r2] p1 RESTARTS", Obs.Restart { pid = 1; at = 2 });
+      ("[r2] p1 persists", Obs.Persist { pid = 1; at = 2 });
+      ("[r2] p1 payload TAMPERED", Obs.Tamper { pid = 1; at = 2 });
+      ("[r2] p1 rejects a message", Obs.Reject { pid = 1; at = 2 });
+      ("[r2] p1 terminates", Obs.Terminate { pid = 1; at = 2 });
+      ( "[r2] p1 begins step (inc 1)",
+        Obs.Span_begin { name = "step"; pid = 1; at = 2; inc = 1; ts_us = 5. } );
+      ( "[r2] p1 ends step (inc 1)",
+        Obs.Span_end { name = "step"; pid = 1; at = 2; inc = 1; ts_us = 6. } );
+    ];
+  let first, second =
+    match live with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "short stream"
+  in
+  check_s "limit"
+    (Printf.sprintf "%s\n%s\n... (+%d more events)\n" (line first) (line second)
+       (List.length live - 2))
+    (Format.asprintf "%a" (Obs.pp ~limit:2) live);
+  check_s "no limit" (String.concat "" (List.map (fun e -> line e ^ "\n") live))
+    (Format.asprintf "%a" (Obs.pp ?limit:None) live)
 
 let test_spark () =
   check_s "ramp" ".:@" (Obs.Timeline.spark [ 0; 1; 100 ]);
@@ -265,8 +288,8 @@ let suite =
     Alcotest.test_case "jsonw: structure + pretty" `Quick test_jsonw_structure;
     Alcotest.test_case "table: to_json" `Quick test_table_to_json;
     Alcotest.test_case "obs: event json" `Quick test_event_json;
-    Alcotest.test_case "obs: stream = trace, tee/replay" `Quick
-      test_obs_stream_matches_trace;
+    Alcotest.test_case "obs: memory sink, tee and printer" `Quick
+      test_memory_tee_printer;
     Alcotest.test_case "timeline: sparkline ramp" `Quick test_spark;
     prop_timeline_a;
     prop_timeline_d;

@@ -24,12 +24,12 @@ let print_case (n, t, schedule) =
 
 let completes_and_audits ?(audits = []) proto (n, t, schedule) =
   let spec = Doall.Spec.make ~n ~t in
-  let trace = Simkit.Trace.create () in
+  let obs, recorded = Simkit.Obs.memory () in
   let fault = Simkit.Fault.crash_silently_at schedule in
-  let report = Doall.Runner.run ~fault ~trace spec proto in
+  let report = Doall.Runner.run ~fault ~obs spec proto in
   report.outcome = Simkit.Kernel.Completed
   && (Doall.Runner.survivors report = 0 || Doall.Runner.work_complete report)
-  && List.for_all (fun audit -> audit trace = []) audits
+  && List.for_all (fun audit -> audit (recorded ()) = []) audits
 
 let law ?count ~name ~max_n ~max_t ?audits proto =
   Helpers.qcheck_case ?count ~name

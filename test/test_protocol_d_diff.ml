@@ -2,9 +2,9 @@
    one-pass agreement merge over scratch bitmaps, a binary-searched revert
    rank) against the list-based Ref_protocol_d, under the same kernel, spec,
    revert threshold and fault plan. Both runs must agree on statuses,
-   outcome, every Metrics reader, the full Trace event list, the
-   observability stream and the span structure, and the law counts how
-   many cases reach the branches the rewrite touched. *)
+   outcome, every Metrics reader, the full observability stream and the
+   span structure, and the law counts how many cases reach the branches
+   the rewrite touched. *)
 
 open Simkit
 open Types
@@ -53,8 +53,8 @@ let observe c ~show proc =
 let reverted (seen : Kd.seen) =
   List.exists
     (function
-      | Trace.Sent { what; _ } -> String.starts_with ~prefix:"A:" what | _ -> false)
-    seen.events
+      | Obs.Send { tag; _ } -> String.starts_with ~prefix:"A:" tag | _ -> false)
+    seen.stream
 
 type tally = {
   mutable cases : int;

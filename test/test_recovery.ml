@@ -175,24 +175,23 @@ let test_keep_work_forced_when_delivery_escapes () =
       [ crash 0 0 ~mode:(C.Schedule.Acting { keep_work = false; delivery }) ]
     in
     let fault = C.Schedule.to_fault (sched entries) in
-    let trace = Simkit.Trace.create () in
+    let obs, recorded = Simkit.Obs.memory () in
     let cfg =
-      Simkit.Kernel.config ~fault ~trace ~n_processes:2 ~n_units:1 ()
+      Simkit.Kernel.config ~fault ~obs ~n_processes:2 ~n_units:1 ()
     in
     let res = Simkit.Kernel.run cfg work_and_tell in
+    let events = recorded () in
     let sent =
-      List.exists
-        (function Simkit.Trace.Sent { src = 0; _ } -> true | _ -> false)
-        (Simkit.Trace.events trace)
+      List.exists (function Simkit.Obs.Send { src = 0; _ } -> true | _ -> false) events
     in
-    (res, sent, trace)
+    (res, sent, events)
   in
   (* Delivery escapes: work is forced despite keep_work = false. *)
-  let res, sent, trace = run_with (Simkit.Fault.Prefix 1) in
+  let res, sent, events = run_with (Simkit.Fault.Prefix 1) in
   Alcotest.(check bool) "a delivery escaped" true sent;
   Alcotest.(check int) "work forced despite keep_work=false" 1
     (Metrics.work_by res.Simkit.Kernel.metrics 0);
-  Helpers.assert_clean_audit [ Simkit.Audit.well_formed ] "keep-work" trace;
+  Helpers.assert_clean_audit [ Simkit.Audit.well_formed ] "keep-work" events;
   (* Nothing escapes: the dropped work stays dropped. *)
   let res, sent, _ = run_with (Simkit.Fault.Prefix 0) in
   Alcotest.(check bool) "nothing escaped" false sent;

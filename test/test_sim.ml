@@ -6,8 +6,8 @@ open Simkit.Types
 let outcome ?(sends = []) ?(work = []) ?(terminate = false) ?wakeup state =
   { state; sends; work; terminate; wakeup }
 
-let config ?fault ?max_rounds ?trace ~t ~n () =
-  Simkit.Kernel.config ?fault ?max_rounds ?trace ~n_processes:t ~n_units:n ()
+let config ?fault ?max_rounds ?obs ~t ~n () =
+  Simkit.Kernel.config ?fault ?max_rounds ?obs ~n_processes:t ~n_units:n ()
 
 let quad =
   Alcotest.testable
@@ -83,14 +83,12 @@ let test_crash_prefix_delivery () =
     Simkit.Fault.crash_acting_at
       [ (0, 0, Simkit.Fault.Crash { keep_work = false; delivery = Prefix 2 }) ]
   in
-  let trace = Simkit.Trace.create () in
-  let res = Simkit.Kernel.run (config ~fault ~trace ~t:6 ~n:1 ()) (broadcaster ~fanout:5) in
+  let obs, recorded = Simkit.Obs.memory () in
+  let res = Simkit.Kernel.run (config ~fault ~obs ~t:6 ~n:1 ()) (broadcaster ~fanout:5) in
   Alcotest.(check int) "2 messages escaped" 2 (count_received res);
   let dropped =
     List.length
-      (List.filter
-         (function Simkit.Trace.Dropped _ -> true | _ -> false)
-         (Simkit.Trace.events trace))
+      (List.filter (function Simkit.Obs.Drop _ -> true | _ -> false) (recorded ()))
   in
   Alcotest.(check int) "3 dropped" 3 dropped;
   Alcotest.(check bool) "p0 crashed" true
