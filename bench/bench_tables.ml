@@ -1404,6 +1404,7 @@ type scale_row = {
   sc_proto : string;
   sc_n : int;
   sc_wall_s : float;
+  sc_words : float;
   sc_words_per_round : float;
   sc_words_per_effort : float;
   sc_promoted_per_msg : float;
@@ -1463,7 +1464,7 @@ let e25 ?(scales = [ 100_000; 1_000_000; 10_000_000 ]) () =
               (if ok then "ok" else "FAIL");
             ];
           rows :=
-            { sc_proto = name; sc_n = n; sc_wall_s = wall;
+            { sc_proto = name; sc_n = n; sc_wall_s = wall; sc_words = words;
               sc_words_per_round = wpr; sc_words_per_effort = wpe;
               sc_promoted_per_msg = promoted /. float_of_int (max 1 (m_msgs r));
               sc_ok = ok }
@@ -1512,8 +1513,11 @@ let scale () =
    rounds the t^2 messages. D's run also gets a promoted-words ceiling per
    message: a message in flight is a kernel buffer slot and its envelope
    is shared by the whole broadcast, so its ~2t^2 messages must not drag
-   per-message blocks into the major heap. Returns the violations; [] =
-   within budget. *)
+   per-message blocks into the major heap. Failure-free A, B and D must
+   allocate within 2% of the same minor words at n=10^6 as at n=10^5: a
+   subchunk or a work phase is one kernel range, whatever its length, so
+   their allocation follows rounds with messages, which n does not move.
+   Returns the violations; [] = within budget. *)
 let scale_smoke () =
   let wall_budget_s = 60. and words_per_round_ceiling = 256.
   and words_per_effort_ceiling = 64. and promoted_per_msg_ceiling = 2. in
@@ -1547,6 +1551,21 @@ let scale_smoke () =
               sc.sc_promoted_per_msg promoted_per_msg_ceiling)
     [ ("A", true, false); ("B", true, false); ("D", false, true);
       ("A crash-storm", true, false); ("B crash-storm", true, false) ];
+  let words_at proto n =
+    List.find_map
+      (fun sc -> if sc.sc_proto = proto && sc.sc_n = n then Some sc.sc_words else None)
+      rows
+  in
+  List.iter
+    (fun proto ->
+      match (words_at proto 100_000, words_at proto 1_000_000) with
+      | Some small, Some large ->
+          if Float.abs (large -. small) > 0.02 *. small then
+            add "%s allocates %.0f minor words at n=1000000 against %.0f at n=100000 \
+                 (more than 2%% apart): its words grow with n"
+              proto large small
+      | _ -> add "%s: a leg of the n=100000/1000000 pair is missing" proto)
+    [ "A"; "B"; "D" ];
   List.iter
     (fun sc ->
       if sc.sc_n = 1_000_000 then

@@ -175,6 +175,9 @@ let run_cmd =
   let run proto n t crashes restarts random window seed adversary trace_n
       report_fmt events trace_out horizon idle_block =
     let spec = make_spec ~n ~t in
+    (match trace_n with
+    | Some k when k < 0 -> usage_error "--trace must be >= 0"
+    | _ -> ());
     (* --trace N records the event stream in memory, beside --events. *)
     let trace_sink, recorded = Simkit.Obs.memory () in
     let traced = if trace_n = None then [] else [ trace_sink ] in

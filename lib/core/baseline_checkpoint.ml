@@ -76,7 +76,11 @@ let make ~period spec =
           }
   in
   Protocol.Packed
-    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
+    {
+      proc = { init; step; ahead = no_ahead };
+      show = show_msg;
+      passive = Protocol.no_passive;
+    }
 
 let protocol ~period =
   if period < 1 then invalid_arg "Baseline_checkpoint.protocol: period >= 1";

@@ -118,3 +118,20 @@ let run_active ~inject ?(map_dst = Fun.id) ?(map_unit = Fun.id) r script =
   | Partial_ckpt { o; c; _ } -> bcast (Partial c) (Grid.members_above o.grid o.j)
   | Full_group { o; c; g } -> bcast (Full (c, g)) (Grid.members o.grid g)
   | Full_echo { o; c; g } -> bcast (Full (c, g)) (Grid.members_above o.grid o.j)
+
+(* A subchunk's remaining units are one run: one unit per round, no sends,
+   and the round after the last unit starts the partial checkpoint. *)
+let ahead wrap = function
+  | Units { o; c; lo; hi } ->
+      let len = hi - lo in
+      Some
+        {
+          unit0 = lo;
+          units = len;
+          len;
+          at =
+            (fun k ->
+              wrap
+                (if lo + k < hi then Units { o; c; lo = lo + k; hi } else partial_ckpt o c));
+        }
+  | Partial_ckpt _ | Full_group _ | Full_echo _ | Finished -> None

@@ -64,3 +64,11 @@ val run_active :
     indices to real pids and unit ids (used by Protocol D's embedded copy of
     Protocol A, which runs over the surviving processes and the remaining
     units). *)
+
+val ahead : (script -> 's) -> script -> 's run option
+(** The run the script makes from its current position with the identity
+    unit map: a subchunk's remaining units, after which the next state is
+    the partial checkpoint; [None] at any broadcast or when finished.
+    [wrap] turns the script into the process state. Each of the run's
+    rounds equals a {!run_active} step without [map_unit]; Protocol D's
+    embedded copy of A maps its units and declares no runs. *)

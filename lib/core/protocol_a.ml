@@ -49,7 +49,11 @@ let proc_on_grid grid =
             wakeup = Some dl;
           }
   in
-  { init; step }
+  let ahead _r = function
+    | Active script -> Ckpt_script.ahead (fun s -> Active s) script
+    | Waiting _ -> None
+  in
+  { init; step; ahead }
 
 let resume_state grid pid ~at last =
   (* A fresh deadline ladder relative to the rejoin round, staggered by pid

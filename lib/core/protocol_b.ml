@@ -124,7 +124,12 @@ let proc_on_grid grid =
               wakeup = Some (r + pto grid);
             })
   in
-  { init; step }
+  let ahead _r st =
+    match st.mode with
+    | Active script -> Ckpt_script.ahead (fun s -> { st with mode = Active s }) script
+    | Passive | Preactive _ -> None
+  in
+  { init; step; ahead }
 
 let resume_state grid pid ~at last =
   (* A rejoiner resumes passive with its recovered view. Guard the

@@ -296,7 +296,11 @@ let protocol_with_period ~period ~name =
             }
     in
     Protocol.Packed
-      { proc = { init; step }; show = show_msg; passive = is_passive }
+      {
+        proc = { init; step; ahead = no_ahead };
+        show = show_msg;
+        passive = is_passive;
+      }
   in
   { Protocol.name; describe = "knowledge-spreading, O(t log t) msgs (Thm 3.8)"; make }
 

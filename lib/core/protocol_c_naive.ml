@@ -111,7 +111,11 @@ let make spec =
           }
   in
   Protocol.Packed
-    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
+    {
+      proc = { init; step; ahead = no_ahead };
+      show = show_msg;
+      passive = Protocol.no_passive;
+    }
 
 let protocol =
   {

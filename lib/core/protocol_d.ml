@@ -331,8 +331,25 @@ let protocol_with_alpha ~alpha ~name =
             }
       | RActive { ra; script } -> run_ra ra r script
     in
+    (* A work round before the last is pure: one unit of a contiguous stretch
+       of the slice, then idle rounds once the slice is spent, which run to
+       [block - 1] so that a short last slice does not cut everyone's range
+       every round. The reverted A maps its units through [Uset.nth] and
+       declares no runs. *)
+    let ahead _r = function
+      | Working { w; idx } when idx < w.block - 1 ->
+          let rest = w.block - 1 - idx in
+          let at k = Working { w; idx = idx + k } in
+          if idx >= w.slice_n then Some { unit0 = 0; units = 0; len = rest; at }
+          else
+            let u0 = Uset.nth w.slice idx in
+            let units = min rest (Uset.run_end u0 w.slice - u0) in
+            let len = if idx + units >= w.slice_n then rest else units in
+            Some { unit0 = u0; units; len; at }
+      | Working _ | Agreeing _ | RWaiting _ | RActive _ -> None
+    in
     Protocol.Packed
-    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
+    { proc = { init; step; ahead }; show = show_msg; passive = Protocol.no_passive }
   in
   {
     Protocol.name;

@@ -259,7 +259,11 @@ let make spec =
         { state = { st with mode }; sends; work; terminate; wakeup }
   in
   Protocol.Packed
-    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
+    {
+      proc = { init; step; ahead = no_ahead };
+      show = show_msg;
+      passive = Protocol.no_passive;
+    }
 
 let protocol =
   {

@@ -254,7 +254,11 @@ let protocol cfg =
           agree_step pid r a inbox
     in
     Protocol.Packed
-    { proc = { init; step }; show = show_msg; passive = Protocol.no_passive }
+    {
+      proc = { init; step; ahead = no_ahead };
+      show = show_msg;
+      passive = Protocol.no_passive;
+    }
   in
   {
     Protocol.name = "D-online";

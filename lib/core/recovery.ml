@@ -56,6 +56,7 @@ type ('s, 'm) adapter = {
   n_procs : int;
   init : pid -> 's * round option;
   step : pid -> round -> 's -> 'm envelope list -> ('s, 'm) outcome;
+  ahead : round -> 's -> 's run option;
   show : 'm -> string;
   passive : 'm -> bool;
   view_of : 'm -> ord option;
@@ -179,7 +180,20 @@ let harden (type s m) (ad : (s, m) adapter) ~(stable : last Simkit.Stable.t) :
             ~inner:(Rejoin { until; announced = true })
             ~iw:None ~sends ~work:[] ~terminate:false ~wakeup:(Some until)
   in
-  { init; step }
+  (* The inner process's run passes through (the wrapper is due exactly
+     when the inner process is): with an empty inbox its rounds improve no
+     view, so nothing persists, and answer nobody. *)
+  let ahead r st =
+    match st.inner with
+    | Run s -> (
+        match ad.ahead r s with
+        | None -> None
+        | Some run ->
+            let at k = { st with inner = Run (run.at k); iw = Some (r + k) } in
+            Some { run with at })
+    | Rejoin _ -> None
+  in
+  { init; step; ahead }
 
 let recover_hook stable ~rejoin_rounds pid r =
   let best = Option.value ~default:No_msg (Simkit.Stable.read stable pid) in
@@ -198,6 +212,7 @@ let adapter_a grid : (Protocol_a.state, Protocol_a.msg) adapter =
     n_procs = Spec.processes (Grid.spec grid);
     init = proc.init;
     step = proc.step;
+    ahead = proc.ahead;
     show = Protocol_a.show_msg;
     passive = Protocol.no_passive;
     view_of = (fun (m : Protocol_a.msg) -> Some m);
@@ -210,6 +225,7 @@ let adapter_b grid : (Protocol_b.pstate, Protocol_b.msg) adapter =
     n_procs = Spec.processes (Grid.spec grid);
     init = proc.init;
     step = proc.step;
+    ahead = proc.ahead;
     show = Protocol_b.show_msg;
     passive = Protocol_b.is_passive;
     view_of =

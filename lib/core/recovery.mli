@@ -71,6 +71,9 @@ type ('s, 'm) adapter = {
     's ->
     'm Simkit.Types.envelope list ->
     ('s, 'm) Simkit.Types.outcome;
+  ahead : Simkit.Types.round -> 's -> 's Simkit.Types.run option;
+      (** the inner process's runs, passed through by {!harden} while the
+          inner process is due *)
   show : 'm -> string;
   passive : 'm -> bool;  (** as {!Protocol.packed}'s *)
   view_of : 'm -> Ckpt_script.ord option;

@@ -158,6 +158,13 @@ type vstate = {
   seen : int option;  (** last attested subchunk delivered to the inner *)
 }
 
+(* Does the attested subchunk improve on the last one delivered? *)
+let improves att seen =
+  match (att, seen) with
+  | None, _ -> false
+  | Some _, None -> true
+  | Some (_, c), Some c0 -> c > c0
+
 let proc_validated grid ~on_reject : (vstate, signed) process =
   let inner_proc = Protocol_a.proc_on_grid grid in
   let np = Spec.processes (Grid.spec grid) in
@@ -182,12 +189,7 @@ let proc_validated grid ~on_reject : (vstate, signed) process =
         else on_reject ~pid ~at:r)
       inbox;
     let att = attested ~f claims in
-    let improved =
-      match (att, st.seen) with
-      | None, _ -> false
-      | Some _, None -> true
-      | Some (_, c), Some c0 -> c > c0
-    in
+    let improved = improves att st.seen in
     let due = match st.iw with Some w -> w <= r | None -> false in
     if due || improved then (
       (* Deliver at most one synthetic message: the attested subchunk, as
@@ -230,7 +232,20 @@ let proc_validated grid ~on_reject : (vstate, signed) process =
         wakeup = st.iw;
       }
   in
-  { init; step }
+  (* The inner process's run passes through (the wrapper is due exactly
+     when the inner process is) when its first round delivers no attested
+     view: with an empty inbox the claims then stay as they are (a run
+     sends nothing), so no later round of the run delivers one either. *)
+  let ahead r st =
+    if improves (attested ~f st.claims) st.seen then None
+    else
+      match inner_proc.ahead r st.inner with
+      | None -> None
+      | Some run ->
+          let at k = { st with inner = run.at k; iw = Some (r + k) } in
+          Some { run with at }
+  in
+  { init; step; ahead }
 
 (* ------------------------------------------------------------------ *)
 (* Runners                                                             *)

@@ -161,6 +161,11 @@ module Schedule = struct
           Fault.Crash { keep_work; delivery }
       | _ -> Fault.Survive
     in
+    let acts_from pid =
+      match current pid with
+      | Some ({ mode = Acting _; at; _ }, _) -> at
+      | _ -> max_int
+    in
     let restarts =
       Hashtbl.fold
         (fun pid arr acc ->
@@ -222,8 +227,8 @@ module Schedule = struct
         | _ -> ())
       t.entries;
     let byzantine_from pid = Hashtbl.find_opt byz pid in
-    Fault.custom ~restarts ~on_restart ~corrupts ~byzantine_from ~silent_from
-      ~on_step ()
+    Fault.custom ~restarts ~on_restart ~corrupts ~byzantine_from ~acts_from
+      ~silent_from ~on_step ()
 
   let restart_count t =
     List.length (List.filter (fun e -> e.mode = Restart) t.entries)

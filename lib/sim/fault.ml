@@ -51,6 +51,35 @@ type step_view = {
   sv_works_done_before : int;
 }
 
+(* Units since a plan's last crash, counted in round order as the kernel
+   consults it. [reserved] holds the units granted to pending ranges
+   beyond their grant round: they are counted when the kernel reports
+   what it took. *)
+type counter = {
+  mutable since : int;
+  mutable gap : int;  (* the crash lands on the unit that makes [since] reach it *)
+  mutable crashes : int;
+  mutable reserved : int;
+  max_crashes : int;
+  gap_lo : int;
+  gap_hi : int;
+  draw : Prng.t option;  (* next gaps from [gap_lo, gap_hi]; fixed at [gap_lo] without *)
+}
+
+(* What a plan answers when the kernel asks how many of a pid's next pure
+   rounds [on_step] would let survive. *)
+type grant =
+  | Grant_until of (pid -> round)
+      (* first round from which [on_step] may crash the pid's current
+         incarnation *)
+  | Grant_counting of counter
+
+(* [on_step] answers [Survive] to every pure round. *)
+let grant_all = Grant_until (fun _ -> max_int)
+
+(* An opaque [on_step]: every round is consulted. *)
+let grant_none = Grant_until (fun _ -> 0)
+
 type t = {
   plan_silent_from : pid -> round option;
       (* the round from which the pid's current incarnation is silently
@@ -66,13 +95,16 @@ type t = {
   plan_trivial : bool;
       (* statically known to never crash/corrupt/subvert/restart anything;
          lets the kernel skip consulting [plan_on_step] entirely *)
-  committed : (pid, round) Hashtbl.t;
-      (* crashes the kernel actually committed; authoritative for all plans *)
+  plan_grant : grant;
+  mutable committed : int array;
+      (* by pid: the round of the crash the kernel actually committed, -1
+         for none; authoritative for all plans. Grown on the first crash, so
+         building a plan allocates no table. *)
 }
 
 let make ?(trivial = false) ?(restarts = []) ?(on_restart = fun _ _ -> ())
     ?(corrupts = fun _ _ -> None) ?(byzantine_from = fun _ -> None)
-    ?(silent_from = fun _ -> None) ~on_step () =
+    ?(silent_from = fun _ -> None) ~grant ~on_step () =
   {
     plan_silent_from = silent_from;
     plan_on_step = on_step;
@@ -81,19 +113,25 @@ let make ?(trivial = false) ?(restarts = []) ?(on_restart = fun _ _ -> ())
     plan_corrupts = corrupts;
     plan_byzantine_from = byzantine_from;
     plan_trivial = trivial && restarts = [];
-    committed = Hashtbl.create 16;
+    plan_grant = grant;
+    committed = [||];
   }
 
-let custom ?restarts ?on_restart ?corrupts ?byzantine_from ~silent_from ~on_step
-    () =
-  make ?restarts ?on_restart ?corrupts ?byzantine_from ~silent_from ~on_step ()
+let custom ?restarts ?on_restart ?corrupts ?byzantine_from ~acts_from ~silent_from
+    ~on_step () =
+  make ?restarts ?on_restart ?corrupts ?byzantine_from ~silent_from
+    ~grant:(Grant_until acts_from) ~on_step ()
+
+let committed_at t pid =
+  if pid >= 0 && pid < Array.length t.committed then t.committed.(pid) else -1
 
 (* A committed crash at [r] reads as a silent death from [r + 1] on. *)
 let silent_from t pid =
-  match (Hashtbl.find_opt t.committed pid, t.plan_silent_from pid) with
-  | Some r, Some s -> Some (min (r + 1) s)
-  | Some r, None -> Some (r + 1)
-  | None, s -> s
+  let r = committed_at t pid in
+  match t.plan_silent_from pid with
+  | Some s when r >= 0 -> Some (min (r + 1) s)
+  | None when r >= 0 -> Some (r + 1)
+  | s -> s
 
 let crashed_by t pid round =
   match silent_from t pid with Some s -> round >= s | None -> false
@@ -101,9 +139,14 @@ let crashed_by t pid round =
 let on_step t view = t.plan_on_step view
 
 let note_crash t pid round =
-  match Hashtbl.find_opt t.committed pid with
-  | Some r when r <= round -> ()
-  | _ -> Hashtbl.replace t.committed pid round
+  let n = Array.length t.committed in
+  if pid >= n then begin
+    let grown = Array.make (max 8 (2 * (pid + 1))) (-1) in
+    Array.blit t.committed 0 grown 0 n;
+    t.committed <- grown
+  end;
+  let r = t.committed.(pid) in
+  if r < 0 || r > round then t.committed.(pid) <- round
 
 let restarts t = t.plan_restarts
 
@@ -115,10 +158,10 @@ let note_restart t pid round =
   (* Forget the committed crash so a later crash of the same pid re-records;
      then let the plan mask itself (a static plan would otherwise keep
      answering [silent_from] for the revived incarnation). *)
-  Hashtbl.remove t.committed pid;
+  if committed_at t pid >= 0 then t.committed.(pid) <- -1;
   t.plan_on_restart pid round
 
-let none = make ~trivial:true ~on_step:(fun _ -> Survive) ()
+let none = make ~trivial:true ~grant:grant_all ~on_step:(fun _ -> Survive) ()
 
 let is_trivial t = t.plan_trivial
 
@@ -136,7 +179,8 @@ let earliest_per_pid entries key_of =
 let crash_silently_at entries =
   let tbl = earliest_per_pid entries (fun (p, r) -> (p, r)) in
   let silent_from pid = Option.map fst (Hashtbl.find_opt tbl pid) in
-  make ~trivial:(entries = []) ~silent_from ~on_step:(fun _ -> Survive) ()
+  make ~trivial:(entries = []) ~silent_from ~grant:grant_all
+    ~on_step:(fun _ -> Survive) ()
 
 let crash_acting_at entries =
   let tbl = earliest_per_pid entries (fun (p, r, _) -> (p, r)) in
@@ -145,11 +189,14 @@ let crash_acting_at entries =
     | Some (r, (_, _, decision)) when view.sv_round >= r -> decision
     | _ -> Survive
   in
-  make ~on_step ()
+  let acts_from pid =
+    match Hashtbl.find_opt tbl pid with Some (r, _) -> r | None -> max_int
+  in
+  make ~grant:(Grant_until acts_from) ~on_step ()
 
 (* A pid crashed by [on_step] stays dead through the kernel's committed-crash
    record, so online plans need no silent-death table of their own. *)
-let dynamic f = make ~on_step:f ()
+let dynamic f = make ~grant:grant_none ~on_step:f ()
 
 let random ~seed ~t ~victims ~window =
   if victims >= t then invalid_arg "Fault.random: victims must be < t";
@@ -174,29 +221,45 @@ let random ~seed ~t ~victims ~window =
         Crash { keep_work = false; delivery = Prefix cut }
     | _ -> Survive
   in
-  make ~silent_from ~on_step ()
+  let acts_from pid =
+    match Hashtbl.find_opt tbl pid with Some (r, _) -> r | None -> max_int
+  in
+  make ~silent_from ~grant:(Grant_until acts_from) ~on_step ()
 
-let crash_active_after_random_work ~seed ~min_units ~max_units ~max_crashes =
-  if min_units < 1 || max_units < min_units then
-    invalid_arg "Fault.crash_active_after_random_work";
-  let g = Prng.create seed in
-  let crashes = ref 0 in
-  let units_since_last = ref 0 in
-  let next_gap = ref (Prng.int_in g min_units max_units) in
+(* The work-wasting adversaries: a crash on the consulted unit that makes
+   the count since the last crash reach the current gap, keeping the work
+   and dropping the round's messages. *)
+let counting c =
   let on_step view =
-    if view.sv_works = 0 || !crashes >= max_crashes then Survive
+    if view.sv_works = 0 || c.crashes >= c.max_crashes then Survive
     else begin
-      units_since_last := !units_since_last + view.sv_works;
-      if !units_since_last >= !next_gap then begin
-        units_since_last := 0;
-        next_gap := Prng.int_in g min_units max_units;
-        incr crashes;
+      c.since <- c.since + view.sv_works;
+      if c.since >= c.gap then begin
+        c.since <- 0;
+        (match c.draw with Some g -> c.gap <- Prng.int_in g c.gap_lo c.gap_hi | None -> ());
+        c.crashes <- c.crashes + 1;
         Crash { keep_work = true; delivery = Prefix 0 }
       end
       else Survive
     end
   in
-  make ~on_step ()
+  make ~grant:(Grant_counting c) ~on_step ()
+
+let crash_active_after_random_work ~seed ~min_units ~max_units ~max_crashes =
+  if min_units < 1 || max_units < min_units then
+    invalid_arg "Fault.crash_active_after_random_work";
+  let g = Prng.create seed in
+  counting
+    {
+      since = 0;
+      gap = Prng.int_in g min_units max_units;
+      crashes = 0;
+      reserved = 0;
+      max_crashes;
+      gap_lo = min_units;
+      gap_hi = max_units;
+      draw = Some g;
+    }
 
 let with_restarts restarts base =
   (* From a pid's first revival on, the base plan's answers for that pid are
@@ -204,7 +267,7 @@ let with_restarts restarts base =
      the new incarnation and would keep it dead forever. The wrapped plan
      therefore gives each pid at most one crash/restart cycle; multi-cycle
      adversaries are built directly via [make]'s [on_restart] hook (see
-     [Campaign.Schedule.to_fault]). *)
+     [Campaign.Schedule.to_fault]). The wrapped plan grants no ranges. *)
   let revived : (pid, round) Hashtbl.t = Hashtbl.create 8 in
   let silent_from pid =
     if Hashtbl.mem revived pid then None else base.plan_silent_from pid
@@ -219,21 +282,53 @@ let with_restarts restarts base =
     base.plan_on_restart pid r
   in
   make ~restarts ~on_restart ~corrupts:base.plan_corrupts
-    ~byzantine_from:base.plan_byzantine_from ~silent_from ~on_step ()
+    ~byzantine_from:base.plan_byzantine_from ~silent_from
+    ~grant:grant_none ~on_step ()
 
 let crash_active_after_work ~units_between_crashes ~max_crashes =
-  let crashes = ref 0 in
-  let units_since_last = ref 0 in
-  let on_step view =
-    if view.sv_works = 0 || !crashes >= max_crashes then Survive
+  counting
+    {
+      since = 0;
+      gap = units_between_crashes;
+      crashes = 0;
+      reserved = 0;
+      max_crashes;
+      gap_lo = units_between_crashes;
+      gap_hi = units_between_crashes;
+      draw = None;
+    }
+
+(* ---- grants ---------------------------------------------------------- *)
+
+(* A grant counts the unit of its first round at once, as a consulted step
+   in that pid's turn would, and reserves the rest below the next crash. *)
+let counting_grant c ~units ~len =
+  if units = 0 then len
+  else
+    let budget =
+      if c.crashes >= c.max_crashes then units else c.gap - 1 - c.since - c.reserved
+    in
+    if budget <= 0 then 0
     else begin
-      units_since_last := !units_since_last + view.sv_works;
-      if !units_since_last >= units_between_crashes then begin
-        units_since_last := 0;
-        incr crashes;
-        Crash { keep_work = true; delivery = Prefix 0 }
-      end
-      else Survive
+      let g = min units budget in
+      c.since <- c.since + 1;
+      c.reserved <- c.reserved + g - 1;
+      if g = units then len else g
     end
-  in
-  make ~on_step ()
+
+let grant t pid r ~units ~len =
+  match t.plan_grant with
+  | Grant_until acts_from -> max 0 (min len (acts_from pid - r))
+  | Grant_counting c -> counting_grant c ~units ~len
+
+let took t ~granted ~used =
+  match t.plan_grant with
+  | Grant_counting c when granted > 0 ->
+      c.reserved <- c.reserved - (granted - 1);
+      c.since <- c.since + (used - 1)
+  | Grant_counting _ | Grant_until _ -> ()
+
+let holds t =
+  match t.plan_grant with
+  | Grant_counting c -> c.crashes >= c.max_crashes || c.since + c.reserved < c.gap
+  | Grant_until _ -> true

@@ -109,6 +109,7 @@ val custom :
   ?on_restart:(pid -> round -> unit) ->
   ?corrupts:(pid -> round -> tamper option) ->
   ?byzantine_from:(pid -> round option) ->
+  acts_from:(pid -> round) ->
   silent_from:(pid -> round option) ->
   on_step:(step_view -> decision) ->
   unit ->
@@ -116,6 +117,10 @@ val custom :
 (** General constructor combining silent deaths with an online acting-crash
     rule — the building block for plans (such as
     {!Campaign.Schedule.to_fault}) that mix both kinds of entry.
+
+    [acts_from pid] is the first round from which [on_step] may answer
+    other than [Survive] for [pid]'s current incarnation ([max_int]:
+    never); the plan {!grant}s ranges up to that round.
     [silent_from pid] is the round from which [pid]'s current incarnation
     is silently dead ([None]: never); the kernel reads it when the run
     starts and again after each committed revival of [pid], and crashes the
@@ -145,7 +150,7 @@ val with_restarts : (pid * round) list -> t -> t
     From each pid's first revival on, the base plan is masked for that pid
     (it survives and never re-crashes) — one crash/restart cycle per pid.
     Multi-cycle schedules are built via {!custom} with [on_restart] (see
-    [Campaign.Schedule.to_fault]). *)
+    [Campaign.Schedule.to_fault]). The plan {!grant}s no ranges. *)
 
 (** {1 Kernel interface} — used by {!Kernel}, not by protocol code. *)
 
@@ -182,6 +187,35 @@ val corrupts : t -> pid -> round -> tamper option
 val byzantine_from : t -> pid -> round option
 (** The round from which [pid] is adversary-controlled, if any. Static for
     the whole run. *)
+
+val grant : t -> pid -> round -> units:int -> len:int -> int
+(** [grant t pid r ~units ~len]: of [pid]'s next [len] pure rounds from
+    [r] — one unit in each of the first [units], none in the rest, no
+    sends, no termination — how many, counted from [r], {!on_step} would
+    answer [Survive] to; in [\[0, len\]]. The kernel commits that many as
+    a range without consulting {!on_step} and reports what it used with
+    {!took}.
+    {ul
+    {- {!none} and silent-only plans grant every round.}
+    {- {!crash_acting_at}, {!random} and {!custom} grant the rounds before
+       the pid's next acting entry.}
+    {- {!crash_active_after_work} and {!crash_active_after_random_work}
+       count the first round's unit at once and reserve the others below
+       their next crash, so the crash still lands on a consulted step and
+       their draws keep their order.}
+    {- {!dynamic} and {!with_restarts} grant nothing.}} *)
+
+val took : t -> granted:int -> used:int -> unit
+(** [took t ~granted ~used]: of the [granted] units of a pid's last grant
+    (the granted rounds' units), the kernel committed the first
+    [used]; the reserved rest is returned. Called once per grant, before
+    the plan is next consulted in a later round. *)
+
+val holds : t -> bool
+(** Whether every grant outstanding in the current round still holds. A
+    consulted unit step after a counting plan's grant in the same round
+    can use up the units reserved for it; the kernel then cuts the round's
+    ranges at the next round. [true] for every other plan. *)
 
 val note_restart : t -> pid -> round -> unit
 (** Kernel informs the plan that it committed a revival at [round]: the

@@ -50,7 +50,10 @@ let config ?(fault = Fault.none) ?(max_rounds = max_int / 2) ?obs
    ever scanned per round, the loop allocates nothing of its own (a
    non-trivial plan is handed one step view per step), and every obs
    event is constructed only when a sink is attached. The audit checker is
-   fed at the same sites, behind the same one-boolean guard. *)
+   fed at the same sites, behind the same one-boolean guard. A due pid
+   without mail whose process declares a run is granted a range: the
+   rounds it spans are not processed, and the next processed round
+   settles it (see [grant_range] and [settle]). *)
 
 (* Binary min-heap of (round, pid) pairs, lexicographic, on growable int
    arrays. Entries are never removed early: callers validate what pops. *)
@@ -292,6 +295,17 @@ let run ?recover ?metrics cfg proc =
              { name; pid; at = r; inc; ts_us = Dhw_util.Clock.now_us () });
         res
   in
+  (* One edge of a process's [step] span, which covers a step or a range
+     grant. *)
+  let step_span ~opening pid r =
+    match cfg.spans with
+    | None -> ()
+    | Some sink ->
+        let inc = incs.(pid) and ts_us = Dhw_util.Clock.now_us () in
+        sink
+          (if opening then Obs.Span_begin { name = "step"; pid; at = r; inc; ts_us }
+           else Obs.Span_end { name = "step"; pid; at = r; inc; ts_us })
+  in
 
   (* Fault events. [byz_at.(p)] is the round from which p is adversary-
      controlled — only with a tamper model, which says what its lies look
@@ -453,69 +467,170 @@ let run ?recover ?metrics cfg proc =
     Fault.note_crash cfg.fault pid r;
     Metrics.record_crash metrics pid r
   in
-  (* [mail]: the buffer holding [pid]'s inbox, or -1 when it has none. *)
+  (* Ranges: runs ({!Types.run}) granted in the last processed round
+     [rg_round], in pid order, each until the next processed round. Slot i
+     holds the run, its granted length and its granted units. *)
+  let no_run =
+    { unit0 = 0; units = 0; len = 0; at = (fun _ -> invalid_arg "Kernel: no run") }
+  in
+  let rg_n = ref 0 and rg_round = ref (-1) in
+  let rg_pid = Array.make t 0 and rg_len = Array.make t 0 and rg_units = Array.make t 0 in
+  let rg_run = Array.make t no_run in
+  (* The next round at which a live pid's fault event surfaces; stale heap
+     entries (dead pids, superseded rounds) are dropped on the way. *)
+  let rec next_event () =
+    if events.n = 0 then max_int
+    else
+      let w = events.w.(0) and p = events.p.(0) in
+      if alive p && (w = silent_at.(p) || w = byz_at.(p)) then w
+      else begin
+        Heap.pop events;
+        next_event ()
+      end
+  in
+  (* Grant [pid]'s run from due round [r], if it declares one, clipped so
+     that every round the run spans would have been processed for nothing
+     else: before the next fault event of any live pid, within [max_rounds]
+     (so [Round_limit] fires at the same round with the same units) and
+     within what the plan grants. Round r's events are emitted in the
+     pid's turn; the rest wait for [settle]. *)
+  let grant_range r pid =
+    match proc.ahead r states.(pid) with
+    | None -> false
+    | Some run ->
+        let len = min run.len (next_event () - r) in
+        let len = if len - 1 > cfg.max_rounds - r then cfg.max_rounds - r + 1 else len in
+        let len =
+          if consult_plan && len >= 1 then
+            Fault.grant cfg.fault pid r ~units:(min run.units len) ~len
+          else len
+        in
+        if len < 1 then false
+        else begin
+          let units = min run.units len in
+          let i = !rg_n in
+          rg_pid.(i) <- pid;
+          rg_len.(i) <- len;
+          rg_units.(i) <- units;
+          rg_run.(i) <- run;
+          rg_n := i + 1;
+          rg_round := r;
+          if noting && units > 0 then note_worked pid r run.unit0;
+          set_wakeup pid (r + len);
+          true
+        end
+  in
+  (* Commit every pending range up to round [r'] (exclusive), the next
+     round processed: its rounds' events, round by round and pids
+     ascending within a round, then one Metrics range per pid. A range
+     that would run past [r'] is cut: the pid takes its state there and is
+     due at [r']. *)
+  let settle r' =
+    let n = !rg_n in
+    if n > 0 then begin
+      rg_n := 0;
+      let r0 = !rg_round in
+      if noting then
+        for x = r0 + 1 to r' - 1 do
+          let d = x - r0 in
+          for i = 0 to n - 1 do
+            if d < rg_len.(i) then begin
+              let pid = rg_pid.(i) in
+              note_stepped pid x;
+              if d < rg_units.(i) then note_worked pid x (rg_run.(i).unit0 + d)
+            end
+          done
+        done;
+      for i = 0 to n - 1 do
+        let pid = rg_pid.(i) and run = rg_run.(i) and len = rg_len.(i) in
+        let k = min len (r' - r0) in
+        let used = min k rg_units.(i) in
+        Metrics.record_work_range metrics pid run.unit0 used;
+        Metrics.record_round metrics (r0 + k - 1);
+        if consult_plan then Fault.took cfg.fault ~granted:rg_units.(i) ~used;
+        states.(pid) <- run.at k;
+        if k < len then set_wakeup pid r';
+        rg_run.(i) <- no_run
+      done
+    end
+  in
+  (* A consulted step after a grant in the same round can use up the units
+     a counting plan reserved for it: cut the round's ranges at the next
+     round, which is then processed. *)
+  let check_grants r =
+    if !rg_n > 0 && consult_plan && not (Fault.holds cfg.fault) then
+      for i = 0 to !rg_n - 1 do
+        rg_len.(i) <- 1;
+        set_wakeup rg_pid.(i) (r + 1)
+      done
+  in
+  (* Commit a step's outcome, or crash its pid, as the plan decides. *)
+  let commit_step r pid (o : ('s, 'm) outcome) =
+    let decision =
+      if not consult_plan then Fault.Survive
+      else
+        Fault.on_step cfg.fault
+          {
+            Fault.sv_pid = pid;
+            sv_round = r;
+            sv_sends = List.length o.sends;
+            sv_works = List.length o.work;
+            sv_terminating = o.terminate;
+            sv_works_done_before = Metrics.work_by metrics pid;
+          }
+    in
+    match decision with
+    | Fault.Survive ->
+        states.(pid) <- o.state;
+        commit_work pid r o.work;
+        commit_sends pid r (tampered_sends pid r o);
+        Metrics.record_round metrics r;
+        if o.terminate then begin
+          statuses.(pid) <- Terminated r;
+          wakeups.(pid) <- -1;
+          retire pid;
+          Metrics.record_terminate metrics pid r;
+          if noting then note_terminated pid r
+        end
+        else begin
+          match o.wakeup with
+          | Some w ->
+              if w <= r then
+                invalid_arg
+                  (Printf.sprintf
+                     "Kernel.run: process %d at round %d asked for non-future wakeup %d"
+                     pid r w);
+              set_wakeup pid w
+          | None -> wakeups.(pid) <- -1
+        end
+    | Fault.Crash { keep_work; delivery } ->
+        let delivered, dropped = Fault.split_delivery delivery o.sends in
+        (* Program-order causality: within a round, work precedes sends, so
+           a crash that lets any message out must also let the work count
+           (otherwise a victim could announce work it never performed). *)
+        let keep_work = keep_work || delivered <> [] in
+        if keep_work then commit_work pid r o.work;
+        commit_sends pid r delivered;
+        if noting then note_all_dropped pid r dropped;
+        crash pid r;
+        Metrics.record_round metrics r;
+        if noting then note_crashed pid r
+  in
+  (* [mail]: the buffer holding [pid]'s inbox, or -1 when it has none. A due
+     pid without mail whose process declares a run is granted a range;
+     otherwise it steps. *)
   let step_pid r pid mail =
     let w = wakeups.(pid) in
-    let due = w >= 0 && w <= r in
-    if mail >= 0 || due then begin
+    if mail >= 0 || (w >= 0 && w <= r) then begin
       if noting then note_stepped pid r;
-      let mail = if mail >= 0 then inbox_of mail pid else [] in
-      let o =
-        match cfg.spans with
-        | None -> proc.step pid r states.(pid) mail
-        | Some _ ->
-            with_span ~name:"step" ~pid ~inc:incs.(pid) r (fun () ->
-                proc.step pid r states.(pid) mail)
-      in
-      let decision =
-        if not consult_plan then Fault.Survive
-        else
-          Fault.on_step cfg.fault
-            {
-              Fault.sv_pid = pid;
-              sv_round = r;
-              sv_sends = List.length o.sends;
-              sv_works = List.length o.work;
-              sv_terminating = o.terminate;
-              sv_works_done_before = Metrics.work_by metrics pid;
-            }
-      in
-      match decision with
-      | Fault.Survive ->
-          states.(pid) <- o.state;
-          commit_work pid r o.work;
-          commit_sends pid r (tampered_sends pid r o);
-          Metrics.record_round metrics r;
-          if o.terminate then begin
-            statuses.(pid) <- Terminated r;
-            wakeups.(pid) <- -1;
-            retire pid;
-            Metrics.record_terminate metrics pid r;
-            if noting then note_terminated pid r
-          end
-          else begin
-            match o.wakeup with
-            | Some w ->
-                if w <= r then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Kernel.run: process %d at round %d asked for non-future wakeup %d"
-                       pid r w);
-                set_wakeup pid w
-            | None -> wakeups.(pid) <- -1
-          end
-      | Fault.Crash { keep_work; delivery } ->
-          let delivered, dropped = Fault.split_delivery delivery o.sends in
-          (* Program-order causality: within a round, work precedes sends, so
-             a crash that lets any message out must also let the work count
-             (otherwise a victim could announce work it never performed). *)
-          let keep_work = keep_work || delivered <> [] in
-          if keep_work then commit_work pid r o.work;
-          commit_sends pid r delivered;
-          if noting then note_all_dropped pid r dropped;
-          crash pid r;
-          Metrics.record_round metrics r;
-          if noting then note_crashed pid r
+      let inbox = if mail >= 0 then inbox_of mail pid else [] in
+      step_span ~opening:true pid r;
+      if mail >= 0 || not (grant_range r pid) then begin
+        let o = proc.step pid r states.(pid) inbox in
+        step_span ~opening:false pid r;
+        commit_step r pid o
+      end
+      else step_span ~opening:false pid r
     end
   in
   (* One live pid's turn in round [r]: a due silent crash, then a Byzantine
@@ -608,6 +723,7 @@ let run ?recover ?metrics cfg proc =
     pending_idx := !out_idx
   in
   let round_body r =
+    settle r;
     apply_restarts r;
     let delivering = !pending_sent_at >= 0 && !pending_sent_at + 1 = r in
     let del_idx = !pending_idx in
@@ -615,19 +731,29 @@ let run ?recover ?metrics cfg proc =
     out_idx := (if delivering then 1 - del_idx else del_idx);
     any_sent := false;
     visit_pids r delivering del_idx;
+    check_grants r;
     if delivering then clear_inboxes del_idx;
     if !any_sent then
       match cfg.spans with
       | None -> deliver_commit r
       | Some _ -> with_span ~name:"deliver" ~pid:(-1) ~inc:0 r (fun () -> deliver_commit r)
   in
+  (* Every outcome settles the pending ranges: a round limit through the
+     last round within the limit, completion through the round just
+     processed. *)
   let rec loop r =
-    if r > cfg.max_rounds then Round_limit r
+    if r > cfg.max_rounds then begin
+      settle r;
+      Round_limit r
+    end
     else begin
       (match cfg.spans with
       | None -> round_body r
       | Some _ -> with_span ~name:"round" ~pid:(-1) ~inc:0 r (fun () -> round_body r));
-      if !n_running = 0 && not (pending_restart ()) then Completed
+      if !n_running = 0 && not (pending_restart ()) then begin
+        settle (r + 1);
+        Completed
+      end
       else begin
         let r' = next_round () in
         if r' = max_int then Stalled r

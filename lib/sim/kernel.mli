@@ -3,9 +3,27 @@
     The kernel advances a round counter, delivering messages sent in round
     [r] at the start of round [r+1]. A process is stepped at round [r] iff
     its inbox for [r] is non-empty or it previously asked for a wakeup at a
-    round [<= r]. Rounds in which no process would be stepped are skipped in
-    O(1), so protocols with astronomically long timeouts (Protocol C's
-    [2^(n+t)] deadlines) execute quickly while round arithmetic stays exact.
+    round [<= r] (or is inside a range, below). Rounds in which no process
+    would be stepped are skipped in O(1), so protocols with astronomically
+    long timeouts (Protocol C's [2^(n+t)] deadlines) execute quickly while
+    round arithmetic stays exact.
+
+    Ranges: a process due at [r] with an empty inbox whose [ahead r]
+    declares a run ({!Types.run}) is granted a range instead of a step. Its
+    length is the run's, clipped to the next fault event of any live pid,
+    to [max_rounds] and to what the plan grants ({!Fault.grant}); round
+    [r]'s [Step]/[Work] are emitted in the pid's turn and it is due again
+    when the range ends. The range's later rounds are not processed: the
+    next processed round [r'] first settles every pending range (they all
+    began at the same round), committing each to [Metrics] in one call,
+    emitting the [Step]/[Work] events of rounds [r+1 .. r'-1] round by
+    round with pids ascending, and giving a range cut short the state
+    [at (r' - r)], due at [r']. Mail, restarts and fault events only happen
+    in processed rounds, so they cut ranges with no check of their own.
+    Every outcome settles too. Every event, status, outcome and [Metrics]
+    reader is what stepping each round would give; only the count of
+    processed rounds and steps, and the spans, differ (a range is one
+    [step] span at its grant round).
 
     Faults: a silent crash ({!Fault.silent_from}) or a Byzantine activation
     ({!Fault.byzantine_from}) takes effect at the first processed round at
@@ -66,16 +84,17 @@ type 'm config = {
   max_rounds : round;  (** hard abort guard; [max_int] for "no limit" *)
   obs : Obs.sink option;
       (** execution-event sink (see {!Obs}), fed every step, send, drop,
-          work, crash, restart and terminate as it happens, plus a [Tamper]
-          per corrupted payload; record a trace with [Obs.memory]. [None]
-          (the default) builds no event. *)
+          work, crash, restart and terminate as it happens (the later
+          rounds of a range when it is settled, still in execution order),
+          plus a [Tamper] per corrupted payload; record a trace with
+          [Obs.memory]. [None] (the default) builds no event. *)
   show : 'm -> string;
       (** payload printer for [Send]/[Drop] events' tags (unused without
           [obs]) *)
   spans : Obs.sink option;
       (** timing sink, fed only [Obs.Span_begin]/[Span_end] pairs around
-          each processed round ([pid = -1]), each process step, and each
-          end-of-round delivery commit, stamped with
+          each processed round ([pid = -1]), each process step or range
+          grant, and each end-of-round delivery commit, stamped with
           [Dhw_util.Clock.now_us]. Kept separate from [obs] so the
           deterministic event stream carries no wall-clock data; [None]
           (the default) costs nothing. *)

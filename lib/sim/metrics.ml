@@ -61,9 +61,7 @@ let bit_set t u =
   Bytes.unsafe_set t.covered_bits i
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.covered_bits i) lor (1 lsl (u land 7))))
 
-let record_work t pid unit_id =
-  t.wrk <- t.wrk + 1;
-  t.per_work.(pid) <- t.per_work.(pid) + 1;
+let cover t unit_id =
   if unit_id >= 0 && unit_id < t.nu then
     if not (bit_is_set t unit_id) then begin
       bit_set t unit_id;
@@ -72,6 +70,35 @@ let record_work t pid unit_id =
     else
       let m = match Hashtbl.find_opt t.redone unit_id with Some m -> m | None -> 1 in
       Hashtbl.replace t.redone unit_id (m + 1)
+
+let record_work t pid unit_id =
+  t.wrk <- t.wrk + 1;
+  t.per_work.(pid) <- t.per_work.(pid) + 1;
+  cover t unit_id
+
+(* Whole 64-unit words that are still uncovered are set in one write; any
+   other unit takes the per-unit path, which keeps [redone] exact. *)
+let record_work_range t pid u0 k =
+  if k > 0 then begin
+    t.wrk <- t.wrk + k;
+    t.per_work.(pid) <- t.per_work.(pid) + k;
+    let hi = u0 + k in
+    let u = ref u0 in
+    while !u < hi do
+      let w = !u in
+      if w land 63 = 0 && w >= 0 && w + 64 <= min hi t.nu
+         && Int64.equal (Bytes.get_int64_le t.covered_bits (w lsr 3)) 0L
+      then begin
+        Bytes.set_int64_le t.covered_bits (w lsr 3) (-1L);
+        t.covered_n <- t.covered_n + 64;
+        u := w + 64
+      end
+      else begin
+        cover t w;
+        u := w + 1
+      end
+    done
+  end
 
 let record_round t r = if r > t.max_round then t.max_round <- r
 

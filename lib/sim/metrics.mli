@@ -15,6 +15,12 @@ val n_units : t -> int
 val record_send : t -> pid -> unit
 val record_work : t -> pid -> int -> unit
 
+val record_work_range : t -> pid -> int -> int -> unit
+(** [record_work_range t pid u0 k] is [record_work t pid u] for each
+    [u = u0 .. u0 + k - 1], in one call: uncovered 64-unit words of the
+    coverage bitset are set a word at a time, and units already covered
+    take the per-unit path, so every reader sees the same multiplicities. *)
+
 (** Counts a crash. Does not advance {!rounds}: a silent crash is observed
     by the kernel at the victim's next scheduling point, possibly long after
     the failure, and must not inflate the running time. *)

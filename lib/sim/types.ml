@@ -11,10 +11,15 @@ type ('s, 'm) outcome = {
   wakeup : round option;
 }
 
+type 's run = { unit0 : int; units : int; len : int; at : int -> 's }
+
 type ('s, 'm) process = {
   init : pid -> 's * round option;
   step : pid -> round -> 's -> 'm envelope list -> ('s, 'm) outcome;
+  ahead : round -> 's -> 's run option;
 }
+
+let no_ahead _ _ = None
 
 type status = Running | Terminated of round | Crashed of round
 

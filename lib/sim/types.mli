@@ -37,6 +37,19 @@ type ('s, 'm) outcome = {
           [None] means: step me again only upon message receipt. *)
 }
 
+type 's run = {
+  unit0 : int;
+  units : int;  (** [0 <= units <= len] *)
+  len : int;  (** [len >= 1] *)
+  at : int -> 's;
+}
+(** A stretch of pure work declared from a due round [r]: for [i < units]
+    the process performs unit [unit0 + i] at round [r + i]; in the rounds
+    [r + units .. r + len - 1] it steps and performs nothing. It sends
+    nothing and does not terminate in any of the [len] rounds. [at k]
+    ([1 <= k <= len]) is its state at the start of round [r + k], and its
+    wakeup there is [r + k]. *)
+
 type ('s, 'm) process = {
   init : pid -> 's * round option;
       (** initial state and first wakeup round (typically [Some 0] for the
@@ -44,7 +57,18 @@ type ('s, 'm) process = {
   step : pid -> round -> 's -> 'm envelope list -> ('s, 'm) outcome;
       (** one synchronous round: current state and this round's inbox to
           outcome. Must be pure up to its own state. *)
+  ahead : round -> 's -> 's run option;
+      (** [ahead r s]: the run the process makes from due round [r] in state
+          [s] while no mail arrives, or [None]. Contract: for every
+          [1 <= k <= len], [k] successive [step]s with an empty inbox from
+          [(r, s)] perform the run's units, send nothing, do not terminate,
+          end in state [at k] and ask for wakeup [r + k]. The synchronous
+          kernel commits such a run as one range (see {!Kernel}); other
+          executors ignore it. *)
 }
+
+val no_ahead : round -> 's -> 's run option
+(** [ahead] for a process that declares no runs: every round is a step. *)
 
 type status =
   | Running  (** still alive and not terminated *)

@@ -55,6 +55,10 @@ let contains_range lo hi s =
   let k = run_above s lo in
   k < intervals s && s.(2 * k) <= lo && hi <= s.((2 * k) + 1)
 
+let run_end u s =
+  let k = run_above s u in
+  if k < intervals s && s.(2 * k) <= u then s.((2 * k) + 1) else u
+
 let min_elt s = if is_empty s then raise Not_found else s.(0)
 let max_elt s = if is_empty s then raise Not_found else s.(Array.length s - 1) - 1
 let choose = min_elt

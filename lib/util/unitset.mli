@@ -55,6 +55,10 @@ val contains_range : int -> int -> t -> bool
 (** [contains_range lo hi s] — is every element of [lo, hi) in [s]?
     Vacuously true when [hi <= lo]. O(log k) by binary search. *)
 
+val run_end : int -> t -> int
+(** [run_end u s] is the end (exclusive) of the maximal run of [s] that
+    contains [u], or [u] when [u] is not in [s]. O(log k). *)
+
 val nth : t -> int -> int
 (** [nth s k] is the [k]-th smallest element (0-based); raises
     [Invalid_argument] when [k] is out of bounds. O(intervals). *)

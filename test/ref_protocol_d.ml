@@ -322,4 +322,4 @@ let proc ~alpha spec =
           }
     | RActive { ra; script } -> run_ra ra r script
   in
-  { init; step }
+  { init; step; ahead = no_ahead }

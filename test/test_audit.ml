@@ -369,7 +369,11 @@ let silent_run ?audit ~n rounds =
         })
   in
   let proc =
-    { Simkit.Types.init = (fun _ -> ((), Some 0)); step = (fun _ r () _ -> outcomes.(r)) }
+    {
+      Simkit.Types.init = (fun _ -> ((), Some 0));
+      step = (fun _ r () _ -> outcomes.(r));
+      ahead = Simkit.Types.no_ahead;
+    }
   in
   let cfg = Simkit.Kernel.config ?audit ~n_processes:1 ~n_units:n () in
   let before = Gc.minor_words () in

@@ -198,6 +198,13 @@ let test_max_failures_codes () =
         "8"; "--work-cap"; "1" ];
     ]
 
+(* A negative --trace limit would print no event and claim all of them
+   as "more events". *)
+let test_trace_limit_codes () =
+  let run = [ "run"; "-p"; "b"; "-n"; "6"; "-t"; "4" ] in
+  check_exit "run --trace=-3" 2 (run @ [ "--trace=-3" ]);
+  check_exit "run --trace=0" 0 (run @ [ "--trace=0" ])
+
 (* Bad sizes, malformed meta values and clashing fault flags are usage
    errors (2), not uncaught exceptions (cmdliner's 125). *)
 let test_usage_error_codes () =
@@ -260,6 +267,7 @@ let suite =
       test_campaign_config_codes;
     Alcotest.test_case "--max-failures below 1 is a usage error" `Quick
       test_max_failures_codes;
+    Alcotest.test_case "--trace below 0 is a usage error" `Quick test_trace_limit_codes;
     Alcotest.test_case "usage errors exit 2, not 125" `Quick
       test_usage_error_codes;
     Alcotest.test_case "byz-replay of a commented async schedule" `Quick

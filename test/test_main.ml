@@ -5,6 +5,7 @@ let () =
       ("unitset", Test_unitset.suite);
       ("sim-kernel", Test_sim.suite);
       ("kernel-diff", Test_kernel_diff.suite);
+      ("ahead", Test_ahead.suite);
       ("audit", Test_audit.suite);
       ("grid", Test_grid.suite);
       ("ckpt-script", Test_ckpt_script.suite);

@@ -1,10 +1,12 @@
 (* Differential law: Doall.Protocol_d (one shared payload per broadcast, a
    one-pass agreement merge over scratch bitmaps, a binary-searched revert
-   rank) against the list-based Ref_protocol_d, under the same kernel, spec,
-   revert threshold and fault plan. Both runs must agree on statuses,
-   outcome, every Metrics reader, the full observability stream and the
-   span structure, and the law counts how many cases reach the branches
-   the rewrite touched. *)
+   rank, work phases declared as runs) against the list-based
+   Ref_protocol_d, which declares none, under the same kernel, spec, revert
+   threshold and fault plan. Both runs must agree on statuses, outcome,
+   every Metrics reader and the full observability stream, their spans must
+   follow the kernel-diff range rule, and with its runs withdrawn the
+   library must match the reference span for span; the law counts how many
+   cases reach the branches the rewrite touched. *)
 
 open Simkit
 open Types
@@ -43,12 +45,20 @@ let watched reach (p : (Ref.mode, Ref.msg) process) =
   in
   { p with step }
 
-let observe c ~show proc =
+let observe c ?ranges ~show proc =
   let spec = Doall.Spec.make ~n:c.n ~t:c.t in
-  Kd.observe Kd.real ~n:c.n ~t:c.t ~fault:(Kd.fault_of ~t:c.t c.plan) ~show
+  Kd.observe Kd.real ?ranges ~n:c.n ~t:c.t ~fault:(Kd.fault_of ~t:c.t c.plan) ~show
     ~metrics:(Metrics.create ~n_processes:c.t ~n_units:c.n)
     ~max_rounds:(Doall.Fuzz.byz_max_rounds spec ~window:(4 * c.n))
     proc
+
+(* The library run [lib] against the reference: exact with the library's
+   runs withdrawn ([unit_steps]), and by the range rule with them. *)
+let explain c ~show proc ~lib reference =
+  let unit_steps = observe c ~ranges:false ~show proc in
+  List.find_map
+    (fun (rule, seen) -> Kd.explain ~names:("library", "reference") ~rule seen reference)
+    [ (`Coalesced, lib); (`Exact, unit_steps) ]
 
 let reverted (seen : Kd.seen) =
   List.exists
@@ -79,7 +89,7 @@ let agree c =
   if reverted reference then tally.reverts <- tally.reverts + 1;
   if reach.mixed then tally.mixes <- tally.mixes + 1;
   if reach.stashed then tally.stashes <- tally.stashes + 1;
-  match Kd.explain ~names:("library", "reference") lib reference with
+  match explain c ~show proc ~lib reference with
   | None -> true
   | Some why -> QCheck2.Test.fail_reportf "%s\n%s" (case_to_string c) why
 
@@ -178,7 +188,7 @@ let test_revert_outside_live_set () =
   in
   let lib = observe c ~show proc in
   let reference = observe c ~show:Ref.show_msg (Ref.proc ~alpha:c.alpha spec) in
-  (match Kd.explain ~names:("library", "reference") lib reference with
+  (match explain c ~show proc ~lib reference with
   | None -> ()
   | Some why -> Alcotest.fail why);
   Alcotest.(check bool) "reverts to A" true (reverted lib);

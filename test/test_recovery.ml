@@ -82,7 +82,8 @@ let test_view_rank () =
    without protocol machinery. *)
 let one_shot n =
   {
-    Simkit.Types.init = (fun pid -> ((), Some pid));
+    Simkit.Types.ahead = Simkit.Types.no_ahead;
+    init = (fun pid -> ((), Some pid));
     step =
       (fun pid _r () _inbox ->
         {
@@ -158,7 +159,8 @@ let test_keep_work_forced_when_delivery_escapes () =
      broadcasts in the same round makes the forcing observable. *)
   let work_and_tell =
     {
-      Simkit.Types.init = (fun pid -> ((), if pid = 0 then Some 0 else None));
+      Simkit.Types.ahead = Simkit.Types.no_ahead;
+    init = (fun pid -> ((), if pid = 0 then Some 0 else None));
       step =
         (fun _pid _r () _inbox ->
           {

@@ -55,7 +55,8 @@ let test_kernel_long_idle_spans () =
   let far = 1_000_000_000_000_000 in
   let proc =
     {
-      Simkit.Types.init = (fun _ -> (false, Some 0));
+      Simkit.Types.ahead = Simkit.Types.no_ahead;
+      init = (fun _ -> (false, Some 0));
       step =
         (fun _ _ started _ ->
           if started then

@@ -19,6 +19,7 @@ let test_delivery_next_round () =
   let received = ref [] in
   let proc =
     {
+      ahead = no_ahead;
       init = (fun pid -> ((), if pid = 0 then Some 0 else None));
       step =
         (fun pid r () inbox ->
@@ -34,6 +35,7 @@ let test_delivery_next_round () =
 let test_non_future_wakeup_rejected () =
   let proc =
     {
+      ahead = no_ahead;
       init = (fun _ -> ((), Some 0));
       step = (fun _ r () _ -> outcome () ~wakeup:r);
     }
@@ -50,6 +52,7 @@ let test_round_skipping () =
   let far = 5_000_000 in
   let proc =
     {
+      ahead = no_ahead;
       init = (fun _ -> (false, Some 0));
       step =
         (fun _ r started _ ->
@@ -66,6 +69,7 @@ let test_round_skipping () =
 
 let broadcaster ~fanout =
   {
+    ahead = no_ahead;
     init = (fun pid -> ((), if pid = 0 then Some 0 else None));
     step =
       (fun pid _ () inbox ->
@@ -116,6 +120,7 @@ let test_messages_to_dead_count () =
   let fault = Simkit.Fault.crash_silently_at [ (1, 0) ] in
   let proc =
     {
+      ahead = no_ahead;
       init = (fun pid -> ((), if pid = 0 then Some 0 else None));
       step =
         (fun pid _ () _ ->
@@ -136,6 +141,7 @@ let test_keep_work_forced_with_delivery () =
   in
   let proc =
     {
+      ahead = no_ahead;
       init = (fun pid -> ((), if pid = 0 then Some 0 else None));
       step =
         (fun pid _ () inbox ->
@@ -155,6 +161,7 @@ let test_keep_work_dropped_without_delivery () =
   in
   let proc =
     {
+      ahead = no_ahead;
       init = (fun pid -> ((), if pid = 0 then Some 0 else None));
       step =
         (fun pid _ () inbox ->
@@ -173,6 +180,7 @@ let test_keep_work_dropped_without_delivery () =
 let test_work_multiplicity () =
   let proc =
     {
+      ahead = no_ahead;
       init = (fun _ -> (0, Some 0));
       step =
         (fun _ r k _ ->
@@ -190,6 +198,7 @@ let test_work_multiplicity () =
 let test_round_limit () =
   let proc =
     {
+      ahead = no_ahead;
       init = (fun _ -> ((), Some 0));
       step = (fun _ r () _ -> outcome () ~wakeup:(r + 1));
     }

@@ -62,7 +62,10 @@ let agrees u m =
      || U.min_elt u = M.min_elt m
         && U.max_elt u = M.max_elt m
         && U.nth u (M.cardinal m - 1) = M.max_elt m)
-  && List.for_all (fun x -> U.mem x u = M.mem x m)
+  && List.for_all
+       (fun x ->
+         let rec run_end y = if M.mem y m then run_end (y + 1) else y in
+         U.mem x u = M.mem x m && U.run_end x u = if M.mem x m then run_end x else x)
        (List.init universe Fun.id)
 
 let model_law =
