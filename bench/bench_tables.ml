@@ -1106,11 +1106,13 @@ let e20 () =
 (* E21: sim-vs-real parity. Each scenario is executed twice — once in the
    simulator and once as a fleet of real dhw_node processes over unix
    sockets, with the fault plan enforced by actual SIGKILLs and respawned
-   incarnations recovering from on-disk checkpoints. Because the
-   orchestrator replicates the kernel's loop rules and consults the same
-   fault plan, the two executions must be identical, event for event
-   ([Orchestrator.parity]); the kill-storm rows double as a survival check
-   for the respawn/recover path under back-to-back process deaths. *)
+   incarnations recovering from on-disk checkpoints. Both executions are
+   [Simkit.Kernel.run] under the same schedule, the fleet's over a remote
+   process whose step is one round-trip to a node, so they must be
+   identical, event for event ([Orchestrator.parity]); what the fleet
+   adds is real processes, sockets, kills and checkpoint files. The
+   kill-storm row doubles as a survival check for the respawn/recover path
+   under back-to-back process deaths. *)
 
 let e21_tmpdir () =
   let d = Filename.temp_file "dhwe21" "" in

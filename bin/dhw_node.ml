@@ -8,7 +8,11 @@
    flag, the next wakeup, and the number of stable-storage writes performed
    during the step. For the recovery-hardened protocols, every stable write
    is mirrored crash-atomically to an on-disk checkpoint file, which is what
-   a restarted incarnation (--recover) reads back before rejoining. *)
+   a restarted incarnation (--recover) reads back before rejoining.
+
+   A sleeping node may wait many rounds for its next frame, so it reads
+   with no deadline: its life is bounded by the orchestrator, which ends it
+   with a Shutdown frame, a SIGKILL, or the EOF of its own exit. *)
 
 module T = Simkit.Types
 module Rec = Doall.Recovery
@@ -29,7 +33,6 @@ type args = {
   incarnation : int;
   recover : bool;
   recover_at : int;
-  io_timeout_s : float;
   trace_dir : string;  (* "" = tracing off *)
   seed : int64;  (* run seed: connect-retry jitter, chaos decisions *)
 }
@@ -90,7 +93,6 @@ let parse_args () =
   let incarnation = ref 0 in
   let recover = ref false in
   let recover_at = ref 0 in
-  let io_timeout = ref 120.0 in
   let trace_dir = ref "" in
   let seed = ref 1L in
   let spec =
@@ -105,7 +107,6 @@ let parse_args () =
       ("--incarnation", Arg.Set_int incarnation, "K 0 for first launch, +1 per restart");
       ("--recover", Arg.Set recover, " restart: resume from the on-disk checkpoint");
       ("--recover-at", Arg.Set_int recover_at, "R the revival round (with --recover)");
-      ("--io-timeout", Arg.Set_float io_timeout, "S per-frame deadline in seconds");
       ("--trace-dir", Arg.Set_string trace_dir, "DIR write dhw-trace/v1 spans to DIR/trace-<pid>.jsonl");
       ( "--seed",
         Arg.String
@@ -135,7 +136,6 @@ let parse_args () =
     incarnation = !incarnation;
     recover = !recover;
     recover_at = !recover_at;
-    io_timeout_s = !io_timeout;
     trace_dir = !trace_dir;
     seed = !seed;
   }
@@ -319,7 +319,8 @@ let main () =
   let stats = Net.Transport.stats () in
   let jitter_prng = Dhw_util.Prng.stream a.seed (0x7e0 + a.pid) in
   let fd = Net.Transport.connect ~stats ~prng:jitter_prng a.addr in
-  let send = Net.Transport.send_frame ~stats ~timeout_s:a.io_timeout_s fd in
+  let send = Net.Transport.send_frame ~stats ~timeout_s:Float.infinity fd in
+  let recv () = Net.Transport.recv_frame ~stats ~timeout_s:Float.infinity fd in
   send
     (Net.Frame.Hello
        {
@@ -330,11 +331,11 @@ let main () =
          incarnation = a.incarnation;
          wakeup = session.wakeup0;
        });
-  (match Net.Transport.recv_frame ~stats ~timeout_s:a.io_timeout_s fd with
+  (match recv () with
   | Net.Frame.Welcome _ -> ()
   | f -> die "expected welcome, got %s" (Fmt.str "%a" Net.Frame.pp f));
   let rec loop () =
-    match Net.Transport.recv_frame ~stats ~timeout_s:a.io_timeout_s fd with
+    match recv () with
     | Net.Frame.Round_start { round; inbox } ->
         let sends, work, terminate, wakeup =
           with_span a ~name:"step" ~round (fun () -> session.step round inbox)
@@ -343,16 +344,9 @@ let main () =
         persist_pending := 0;
         send (Net.Frame.Step_result { round; sends; work; terminate; wakeup; persists });
         loop ()
-    | Net.Frame.Heartbeat { tick } ->
-        send (Net.Frame.Heartbeat { tick });
-        loop ()
     | Net.Frame.Shutdown -> exit 0
     | f -> die "unexpected frame %s" (Fmt.str "%a" Net.Frame.pp f)
   in
-  try loop () with
-  | Net.Transport.Closed _ -> exit 0
-  | Net.Transport.Timeout what ->
-      prerr_endline ("dhw_node: io timeout: " ^ what);
-      exit 3
+  try loop () with Net.Transport.Closed _ -> exit 0
 
 let () = main ()

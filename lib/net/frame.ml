@@ -1,5 +1,5 @@
 let magic = "DHWN"
-let version = 1
+let version = 2
 let max_frame_len = Wire.max_string_len
 
 type envelope = { src : int; sent_at : int; payload : string }
@@ -24,16 +24,15 @@ type t =
       wakeup : int option;
       persists : int;
     }
-  | Heartbeat of { tick : int }
   | Shutdown
 
-(* Tags are part of the wire format; never renumber, only append. *)
+(* Tags are part of the wire format; never renumber, only append. Tag 5
+   (a version-1 liveness probe) is retired, never reused. *)
 let tag = function
   | Hello _ -> 1
   | Welcome _ -> 2
   | Round_start _ -> 3
   | Step_result _ -> 4
-  | Heartbeat _ -> 5
   | Shutdown -> 6
 
 let put_envelope b (e : envelope) =
@@ -82,7 +81,6 @@ let encode_body f =
       Wire.put_bool b terminate;
       Wire.put_opt_int b wakeup;
       Wire.put_int b persists
-  | Heartbeat { tick } -> Wire.put_int b tick
   | Shutdown -> ());
   Buffer.contents b
 
@@ -139,10 +137,6 @@ let decode_body body =
           let persists = Wire.get_int r "step-result.persists" in
           Wire.expect_end r "step-result";
           Step_result { round; sends; work; terminate; wakeup; persists }
-      | 5 ->
-          let tick = Wire.get_int r "heartbeat.tick" in
-          Wire.expect_end r "heartbeat";
-          Heartbeat { tick }
       | 6 ->
           Wire.expect_end r "shutdown";
           Shutdown
@@ -186,5 +180,4 @@ let pp ppf = function
         round (List.length sends) (List.length work) terminate
         (match wakeup with Some w -> string_of_int w | None -> "-")
         persists
-  | Heartbeat { tick } -> Format.fprintf ppf "heartbeat tick=%d" tick
   | Shutdown -> Format.fprintf ppf "shutdown"

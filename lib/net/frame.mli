@@ -14,7 +14,8 @@ val magic : string
 (** ["DHWN"] — four bytes inside every {!Hello}. *)
 
 val version : int
-(** Wire protocol version, bumped on any incompatible frame change. *)
+(** Wire protocol version, bumped on any incompatible frame change (2: the
+    liveness-probe frame, tag 5, is gone). *)
 
 val max_frame_len : int
 (** Cap on a frame body (16 MiB). A length prefix beyond it is rejected
@@ -51,7 +52,6 @@ type t =
       wakeup : int option;
       persists : int;  (** stable-storage writes performed during this step *)
     }
-  | Heartbeat of { tick : int }  (** echoed verbatim by the peer *)
   | Shutdown
 
 val encode : t -> string

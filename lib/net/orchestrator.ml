@@ -1,5 +1,5 @@
 open Simkit.Types
-module Fault = Simkit.Fault
+module Kernel = Simkit.Kernel
 module Metrics = Simkit.Metrics
 module Obs = Simkit.Obs
 
@@ -9,7 +9,7 @@ type config = {
   protocol : string;
   n : int;
   t : int;
-  fault : Fault.t;
+  fault : Simkit.Fault.t;
   ckpt_dir : string;
   log_dir : string option;
   rejoin_rounds : int;
@@ -20,7 +20,7 @@ type config = {
   seed : int64;  (* drives the nodes' connect-retry jitter *)
 }
 
-let config ?(fault = Fault.none) ?(max_rounds = 10_000) ?(rejoin_rounds = 3)
+let config ?(fault = Simkit.Fault.none) ?(max_rounds = 10_000) ?(rejoin_rounds = 3)
     ?(watchdog_s = 60.) ?(io_timeout_s = 10.) ?log_dir ?trace_dir
     ?(seed = 1L) ~node_exe ~addr ~protocol ~n ~t ~ckpt_dir () =
   {
@@ -55,11 +55,11 @@ let stop_to_string = function
   | Node_failure (r, msg) -> Printf.sprintf "node-failure@%d: %s" r msg
 
 let to_run_outcome = function
-  | Completed -> Simkit.Kernel.Completed
-  | Stalled r -> Simkit.Kernel.Stalled r
-  | Round_limit r -> Simkit.Kernel.Round_limit r
-  | Watchdog r -> Simkit.Kernel.Round_limit r
-  | Node_failure (r, _) -> Simkit.Kernel.Stalled r
+  | Completed -> Kernel.Completed
+  | Stalled r -> Kernel.Stalled r
+  | Round_limit r -> Kernel.Round_limit r
+  | Watchdog r -> Kernel.Round_limit r
+  | Node_failure (r, _) -> Kernel.Stalled r
 
 type result = {
   metrics : Metrics.t;
@@ -70,7 +70,6 @@ type result = {
   spawns : int;
   kills : int;
   respawns : int;
-  heartbeats : int;
   wall_s : float;
 }
 
@@ -90,7 +89,6 @@ let transport_json cfg res =
           ("spawns", Dhw_util.Jsonw.Int res.spawns);
           ("kills", Dhw_util.Jsonw.Int res.kills);
           ("respawns", Dhw_util.Jsonw.Int res.respawns);
-          ("heartbeats", Dhw_util.Jsonw.Int res.heartbeats);
           ("io_timeout_s", Dhw_util.Jsonw.Float cfg.io_timeout_s);
           ("watchdog_s", Dhw_util.Jsonw.Float cfg.watchdog_s);
           ("wall_s", Dhw_util.Jsonw.Float res.wall_s);
@@ -105,7 +103,13 @@ type node = {
   mutable incarnation : int;
 }
 
+(* A message as the kernel carries it between nodes: the node-encoded
+   payload and the node-rendered tag, which is the kernel's [show]. *)
+type msg = { bytes : string; tag : string }
+
 exception Bad_node of string
+
+let bad fmt = Format.kasprintf (fun s -> raise (Bad_node s)) fmt
 
 let known_protocols = [ "a"; "b"; "a+rec"; "b+rec" ]
 
@@ -119,9 +123,7 @@ let run cfg =
   let record, recorded = Obs.memory () in
   let metrics = Metrics.create ~n_processes:cfg.t ~n_units:cfg.n in
   let statuses = Array.make cfg.t Running in
-  let wakeups : round option array = Array.make cfg.t None in
   let spawns = ref 0 and kills = ref 0 and respawns = ref 0 in
-  let heartbeats = ref 0 in
   if not (Sys.file_exists cfg.ckpt_dir) then Unix.mkdir cfg.ckpt_dir 0o755;
   (match cfg.log_dir with
   | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
@@ -129,27 +131,16 @@ let run cfg =
   (match cfg.trace_dir with
   | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
   | _ -> ());
-  (* Control-plane spans, collected in memory and merged with the nodes'
-     per-pid trace files after the run. Inert without a trace_dir. *)
-  let ctl_spans = ref [] in
+  (* Control-plane spans: the kernel's round/step/deliver spans plus
+     zero-length spawn/kill/respawn marks, merged with the nodes' per-pid
+     trace files after the run. Inert without a trace_dir. *)
   let tracing = cfg.trace_dir <> None in
-  let ctl_mark ?(args = []) ~name ~pid ~inc ~round () =
-    if tracing then
-      ctl_spans :=
-        { Dhw_util.Spanfile.name; src = "ctl"; pid; inc; round;
-          ts_us = Dhw_util.Clock.now_us (); dur_us = 0.0; args }
-        :: !ctl_spans
-  in
-  let ctl_timed ~name ~pid ~inc ~round f =
-    if not tracing then f ()
-    else begin
-      let ts0 = Dhw_util.Clock.now_us () in
-      let res = f () in
-      ctl_spans :=
-        { Dhw_util.Spanfile.name; src = "ctl"; pid; inc; round; ts_us = ts0;
-          dur_us = Dhw_util.Clock.now_us () -. ts0; args = [] }
-        :: !ctl_spans;
-      res
+  let spans, ctl_spans = Obs.span_collector ~src:"ctl" () in
+  let mark name ~pid ~inc ~round =
+    if tracing then begin
+      let ts_us = Dhw_util.Clock.now_us () in
+      spans (Obs.Span_begin { name; pid; at = round; inc; ts_us });
+      spans (Obs.Span_end { name; pid; at = round; inc; ts_us })
     end
   in
   let listen_fd = Transport.listen cfg.addr in
@@ -205,15 +196,9 @@ let run cfg =
           Unix.create_process cfg.node_exe (Array.of_list argv) devnull out err)
     in
     nd.os_pid <- os_pid;
-    ctl_mark ~name:"spawn" ~pid:nd.npid ~inc:nd.incarnation
-      ~round:(Option.value ~default:0 recover_at) ();
+    mark "spawn" ~pid:nd.npid ~inc:nd.incarnation
+      ~round:(Option.value ~default:0 recover_at);
     incr spawns
-  in
-  let reap nd =
-    if nd.os_pid > 0 then begin
-      (try ignore (Unix.waitpid [] nd.os_pid) with Unix.Unix_error _ -> ());
-      nd.os_pid <- -1
-    end
   in
   let close_conn nd =
     match nd.fd with
@@ -223,9 +208,11 @@ let run cfg =
     | None -> ()
   in
   let kill nd =
-    if nd.os_pid > 0 then (
+    if nd.os_pid > 0 then begin
       (try Unix.kill nd.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      reap nd);
+      (try ignore (Unix.waitpid [] nd.os_pid) with Unix.Unix_error _ -> ());
+      nd.os_pid <- -1
+    end;
     close_conn nd
   in
   (* Graceful: ask the node to exit, give it a moment, then make sure. *)
@@ -262,308 +249,136 @@ let run cfg =
     | Transport.Unix_sock p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
     | Transport.Tcp _ -> ()
   in
-  (* Accept one connection and bind it to the node its Hello names. *)
-  let accept_hello ~expect ~welcome_round =
+  (* The round of the latest step or revival, for a stop the kernel does
+     not report. *)
+  let cur = ref 0 in
+  let check_watchdog r =
+    cur := r;
+    if Unix.gettimeofday () > deadline then raise (Transport.Timeout "watchdog")
+  in
+  (* Accept [nd]'s connection and check its Hello: the node's wakeup. *)
+  let accept_hello nd ~welcome_round =
     let conn = Transport.accept ~timeout_s:(io_left ()) ~stats listen_fd in
+    nd.fd <- Some conn;
     match Transport.recv_frame ~stats ~timeout_s:(io_left ()) conn with
     | Frame.Hello h ->
-        if h.pid < 0 || h.pid >= cfg.t then (
-          Transport.close_noerr conn;
-          raise (Bad_node (Printf.sprintf "hello from out-of-range pid %d" h.pid)));
-        let nd = nodes.(h.pid) in
-        (match expect with
-        | Some p when p <> h.pid ->
-            Transport.close_noerr conn;
-            raise (Bad_node (Printf.sprintf "expected hello from pid %d, got %d" p h.pid))
-        | _ -> ());
-        if nd.fd <> None then (
-          Transport.close_noerr conn;
-          raise (Bad_node (Printf.sprintf "duplicate hello from pid %d" h.pid)));
+        if h.pid <> nd.npid then bad "expected hello from pid %d, got %d" nd.npid h.pid;
         if h.protocol <> cfg.protocol || h.n <> cfg.n || h.t <> cfg.t then
-          raise
-            (Bad_node
-               (Printf.sprintf "pid %d hello mismatch: %s n=%d t=%d (want %s n=%d t=%d)"
-                  h.pid h.protocol h.n h.t cfg.protocol cfg.n cfg.t));
+          bad "pid %d hello mismatch: %s n=%d t=%d (want %s n=%d t=%d)" h.pid
+            h.protocol h.n h.t cfg.protocol cfg.n cfg.t;
         if h.incarnation <> nd.incarnation then
-          raise
-            (Bad_node
-               (Printf.sprintf "pid %d hello incarnation %d, expected %d" h.pid
-                  h.incarnation nd.incarnation));
+          bad "pid %d hello incarnation %d, expected %d" h.pid h.incarnation
+            nd.incarnation;
         (match h.wakeup with
-        | Some w when w < 0 -> raise (Bad_node (Printf.sprintf "pid %d negative wakeup" h.pid))
+        | Some w when w < 0 -> bad "pid %d negative wakeup" h.pid
         | _ -> ());
-        nd.fd <- Some conn;
-        wakeups.(h.pid) <- h.wakeup;
         Transport.send_frame ~stats ~timeout_s:(io_left ()) conn
           (Frame.Welcome { round = welcome_round });
-        h.pid
-    | f ->
-        Transport.close_noerr conn;
-        raise (Bad_node (Fmt.str "expected hello, got %a" Frame.pp f))
+        h.wakeup
+    | f -> bad "expected hello, got %a" Frame.pp f
   in
-  let conn_of nd =
-    match nd.fd with
-    | Some fd -> fd
-    | None -> raise (Bad_node (Printf.sprintf "pid %d has no connection" nd.npid))
+  (* The remote process: its state lives in the node, [init]/[recover]
+     launch an incarnation and [step] is one Round_start/Step_result
+     exchange. *)
+  let init pid =
+    let nd = nodes.(pid) in
+    spawn nd ~recover_at:None;
+    ((), accept_hello nd ~welcome_round:0)
   in
-  let alive pid = statuses.(pid) = Running in
-  (* Without a tamper model a Byzantine entry degrades to a silent crash at
-     its activation round — the kernel's rule, and there is no tamper model
-     over real sockets. *)
-  let byz_degraded pid r =
-    match Fault.byzantine_from cfg.fault pid with Some b0 -> b0 <= r | None -> false
+  let recover pid r =
+    check_watchdog r;
+    let nd = nodes.(pid) in
+    nd.incarnation <- nd.incarnation + 1;
+    spawn nd ~recover_at:(Some r);
+    incr respawns;
+    mark "respawn" ~pid ~inc:nd.incarnation ~round:r;
+    ((), accept_hello nd ~welcome_round:r)
   in
-  let restart_queue =
-    ref (List.sort compare (List.map (fun (p, r) -> (r, p)) (Fault.restarts cfg.fault)))
-  in
-  let applicable (rr, pid) =
-    pid >= 0 && pid < cfg.t
-    && match statuses.(pid) with Crashed rc -> rr > rc | _ -> false
-  in
-  let pending_restart () = List.exists applicable !restart_queue in
-  let pending : (round * Frame.envelope list array) option ref = ref None in
-  let next_round () =
-    let candidate = ref None in
-    let consider r =
-      match !candidate with Some c when c <= r -> () | _ -> candidate := Some r
+  let step pid r () (inbox : msg envelope list) =
+    check_watchdog r;
+    let fd =
+      match nodes.(pid).fd with Some fd -> fd | None -> bad "pid %d has no connection" pid
     in
-    (match !pending with Some (sent_at, _) -> consider (sent_at + 1) | None -> ());
-    Array.iteri
-      (fun pid w -> match w with Some r when alive pid -> consider r | _ -> ())
-      wakeups;
-    List.iter (fun (rr, pid) -> if applicable (rr, pid) then consider rr) !restart_queue;
-    !candidate
-  in
-  let deliveries_for r =
-    match !pending with
-    | Some (sent_at, boxes) when sent_at + 1 = r ->
-        pending := None;
-        Some boxes
-    | _ -> None
-  in
-  let apply_restarts r =
-    let rec go () =
-      match !restart_queue with
-      | (rr, pid) :: rest when rr <= r ->
-          restart_queue := rest;
-          if applicable (rr, pid) then begin
-            let nd = nodes.(pid) in
-            nd.incarnation <- nd.incarnation + 1;
-            spawn nd ~recover_at:(Some r);
-            incr respawns;
-            ctl_mark ~name:"respawn" ~pid ~inc:nd.incarnation ~round:r ();
-            ignore (accept_hello ~expect:(Some pid) ~welcome_round:r);
-            statuses.(pid) <- Running;
-            Fault.note_restart cfg.fault pid r;
-            Metrics.record_restart metrics pid r;
-            record (Obs.Restart { pid; at = r })
-          end;
-          go ()
-      | _ -> ()
+    let inbox =
+      List.map
+        (fun (e : msg envelope) ->
+          { Frame.src = e.src; sent_at = e.sent_at; payload = e.payload.bytes })
+        inbox
     in
-    go ()
-  in
-  let commit_crash pid r ~signal =
-    if signal then begin
-      kill nodes.(pid);
-      incr kills;
-      ctl_mark ~name:"kill" ~pid ~inc:nodes.(pid).incarnation ~round:r ()
-    end;
-    statuses.(pid) <- Crashed r;
-    wakeups.(pid) <- None;
-    Fault.note_crash cfg.fault pid r;
-    Metrics.record_crash metrics pid r;
-    record (Obs.Crash { pid; at = r })
-  in
-  let cur = ref 0 in
-  let run_loop () =
-    (* Launch the fleet and collect the handshakes. *)
-    Array.iter (fun nd -> spawn nd ~recover_at:None) nodes;
-    for _ = 1 to cfg.t do
-      ignore (accept_hello ~expect:None ~welcome_round:0)
-    done;
-    let rec loop r =
-      cur := r;
-      if r > cfg.max_rounds then Round_limit r
-      else if Unix.gettimeofday () > deadline then Watchdog r
-      else begin
-        ctl_timed ~name:"round" ~pid:(-1) ~inc:0 ~round:r (fun () ->
-        apply_restarts r;
-        let boxes = deliveries_for r in
-        let inbox pid = match boxes with Some b -> b.(pid) | None -> [] in
-        let out = Array.make cfg.t ([] : Frame.envelope list) in
-        let any_sent = ref false in
-        for pid = 0 to cfg.t - 1 do
-          if alive pid then begin
-            if Fault.crashed_by cfg.fault pid r || byz_degraded pid r then
-              commit_crash pid r ~signal:true
-            else begin
-              let nd = nodes.(pid) in
-              let mail = inbox pid in
-              let due = match wakeups.(pid) with Some w -> w <= r | None -> false in
-              if mail <> [] || due then begin
-                record (Obs.Step { pid; at = r });
-                let fd = conn_of nd in
-                let sends, work, terminate, wakeup, persists =
-                  ctl_timed ~name:"rpc" ~pid ~inc:nd.incarnation ~round:r
-                    (fun () ->
-                      Transport.send_frame ~stats ~timeout_s:(io_left ()) fd
-                        (Frame.Round_start { round = r; inbox = mail });
-                      match
-                        Transport.recv_frame ~stats ~timeout_s:(io_left ()) fd
-                      with
-                      | Frame.Step_result
-                          { round = rr; sends; work; terminate; wakeup; persists }
-                        ->
-                          if rr <> r then
-                            raise
-                              (Bad_node
-                                 (Printf.sprintf
-                                    "pid %d replied for round %d at round %d"
-                                    pid rr r));
-                          (sends, work, terminate, wakeup, persists)
-                      | f ->
-                          raise
-                            (Bad_node
-                               (Fmt.str "pid %d: expected step result, got %a"
-                                  pid Frame.pp f)))
-                in
-                (* Stable-storage writes happened inside the node's step,
-                   before any crash decision — write-ahead, as in the sim. *)
-                for _ = 1 to persists do
-                  Metrics.record_persist metrics pid r;
-                  record (Obs.Persist { pid; at = r })
-                done;
-                let view =
-                  {
-                    Fault.sv_pid = pid;
-                    sv_round = r;
-                    sv_sends = List.length sends;
-                    sv_works = List.length work;
-                    sv_terminating = terminate;
-                    sv_works_done_before = Metrics.work_by metrics pid;
-                  }
-                in
-                let decision = Fault.on_step cfg.fault view in
-                let commit_sends sends =
-                  List.iter
-                    (fun s ->
-                      Metrics.record_send metrics pid;
-                      record
-                        (Obs.Send { src = pid; dst = s.Frame.dst; at = r; tag = s.Frame.show });
-                      if s.Frame.dst >= 0 && s.Frame.dst < cfg.t then begin
-                        out.(s.Frame.dst) <-
-                          { Frame.src = pid; sent_at = r; payload = s.Frame.payload }
-                          :: out.(s.Frame.dst);
-                        any_sent := true
-                      end)
-                    sends
-                in
-                let commit_work () =
-                  List.iter
-                    (fun u ->
-                      Metrics.record_work metrics pid u;
-                      record (Obs.Work { pid; at = r; unit_id = u }))
-                    work
-                in
-                match decision with
-                | Fault.Survive ->
-                    commit_work ();
-                    commit_sends sends;
-                    Metrics.record_round metrics r;
-                    if terminate then begin
-                      statuses.(pid) <- Terminated r;
-                      wakeups.(pid) <- None;
-                      Metrics.record_terminate metrics pid r;
-                      record (Obs.Terminate { pid; at = r });
-                      shutdown nd
-                    end
-                    else begin
-                      (match wakeup with
-                      | Some w when w <= r ->
-                          raise
-                            (Bad_node
-                               (Printf.sprintf
-                                  "pid %d at round %d asked for non-future wakeup %d" pid
-                                  r w))
-                      | _ -> ());
-                      wakeups.(pid) <- wakeup
-                    end
-                | Fault.Crash { keep_work; delivery } ->
-                    let delivered, dropped = Fault.split_delivery delivery sends in
-                    let keep_work = keep_work || delivered <> [] in
-                    if keep_work then commit_work ();
-                    commit_sends delivered;
-                    List.iter
-                      (fun s ->
-                        record
-                          (Obs.Drop
-                             { src = pid; dst = s.Frame.dst; at = r; tag = s.Frame.show }))
-                      dropped;
-                    commit_crash pid r ~signal:true;
-                    Metrics.record_round metrics r
-              end
-              else begin
-                (* Sleeping this round: probe liveness so a node that died
-                   outside the fault plan surfaces as a failure, not a hang
-                   at its next wakeup. *)
-                let fd = conn_of nd in
-                incr heartbeats;
-                ctl_timed ~name:"hb" ~pid ~inc:nd.incarnation ~round:r
-                  (fun () ->
-                    Transport.send_frame ~stats ~timeout_s:(io_left ()) fd
-                      (Frame.Heartbeat { tick = r });
-                    match
-                      Transport.recv_frame ~stats ~timeout_s:(io_left ()) fd
-                    with
-                    | Frame.Heartbeat { tick } when tick = r -> ()
-                    | f ->
-                        raise
-                          (Bad_node
-                             (Fmt.str "pid %d: expected heartbeat echo, got %a"
-                                pid Frame.pp f)))
-              end
-            end
-          end
+    Transport.send_frame ~stats ~timeout_s:(io_left ()) fd
+      (Frame.Round_start { round = r; inbox });
+    match Transport.recv_frame ~stats ~timeout_s:(io_left ()) fd with
+    | Frame.Step_result { round; sends; work; terminate; wakeup; persists } ->
+        if round <> r then bad "pid %d replied for round %d at round %d" pid round r;
+        (match wakeup with
+        | Some w when w <= r && not terminate ->
+            bad "pid %d at round %d asked for non-future wakeup %d" pid r w
+        | _ -> ());
+        (* Stable-storage writes happened inside the node's step: after its
+           Step, before its Work, where the simulator's recovery harness
+           records them. *)
+        for _ = 1 to persists do
+          Metrics.record_persist metrics pid r;
+          record (Obs.Persist { pid; at = r })
         done;
-        if !any_sent then begin
-          Array.iteri
-            (fun dst msgs ->
-              out.(dst) <-
-                List.sort (fun a b -> compare a.Frame.src b.Frame.src) msgs)
-            out;
-          pending := Some (r, out)
-        end);
-        let all_retired =
-          let rec go pid = pid >= cfg.t || (is_retired statuses.(pid) && go (pid + 1)) in
-          go 0
-        in
-        if all_retired && not (pending_restart ()) then Completed
-        else
-          match next_round () with
-          | Some r' ->
-              assert (r' > r);
-              loop r'
-          | None -> Stalled r
-      end
-    in
-    match next_round () with
-    | Some r0 -> loop r0
-    | None -> if Array.for_all is_retired statuses then Completed else Stalled 0
+        {
+          state = ();
+          sends =
+            List.map
+              (fun (s : Frame.send) ->
+                { dst = s.dst; payload = { bytes = s.payload; tag = s.show } })
+              sends;
+          work;
+          terminate;
+          wakeup;
+        }
+    | f -> bad "pid %d: expected step result, got %a" pid Frame.pp f
   in
+  (* The kernel's decisions, carried out on the fleet as they are recorded:
+     a crash is a SIGKILL, a termination a Shutdown. *)
+  let enforce = function
+    | Obs.Crash { pid; at } ->
+        let nd = nodes.(pid) in
+        kill nd;
+        incr kills;
+        mark "kill" ~pid ~inc:nd.incarnation ~round:at;
+        statuses.(pid) <- Crashed at
+    | Obs.Terminate { pid; at } ->
+        shutdown nodes.(pid);
+        statuses.(pid) <- Terminated at
+    | Obs.Restart { pid; _ } -> statuses.(pid) <- Running
+    | _ -> ()
+  in
+  let kcfg =
+    Kernel.config ~fault:cfg.fault ~max_rounds:cfg.max_rounds
+      ~obs:(Obs.tee [ record; enforce ])
+      ?spans:(if tracing then Some spans else None)
+      ~show:(fun m -> m.tag) ~n_processes:cfg.t ~n_units:cfg.n ()
+  in
+  (* A write to a node that died outside the plan must fail as EPIPE, not
+     kill this process. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let stop =
-    match run_loop () with
-    | stop -> stop
-    | exception Bad_node msg -> Node_failure (!cur, msg)
-    | exception Transport.Timeout msg ->
-        if Unix.gettimeofday () > deadline then Watchdog !cur
-        else Node_failure (!cur, "io timeout: " ^ msg)
-    | exception Transport.Closed msg -> Node_failure (!cur, "connection lost: " ^ msg)
-    | exception Failure msg -> Node_failure (!cur, msg)
-    | exception Unix.Unix_error (e, fn, arg) ->
-        Node_failure (!cur, Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
+    Fun.protect
+      ~finally:(fun () ->
+        cleanup ();
+        Sys.set_signal Sys.sigpipe sigpipe)
+      (fun () ->
+        match Kernel.run ~recover ~metrics kcfg { init; step; ahead = no_ahead } with
+        | res -> (
+            match res.Kernel.outcome with
+            | Kernel.Completed -> Completed
+            | Kernel.Stalled r -> Stalled r
+            | Kernel.Round_limit r -> Round_limit r)
+        | exception Bad_node msg -> Node_failure (!cur, msg)
+        | exception Transport.Timeout msg ->
+            if Unix.gettimeofday () > deadline then Watchdog !cur
+            else Node_failure (!cur, "io timeout: " ^ msg)
+        | exception Transport.Closed msg -> Node_failure (!cur, "connection lost: " ^ msg)
+        | exception Failure msg -> Node_failure (!cur, msg)
+        | exception Unix.Unix_error (e, fn, arg) ->
+            Node_failure (!cur, Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e)))
   in
-  cleanup ();
   (* Collect the trace: control-plane spans to trace-ctl.jsonl, then merge
      every per-source file (including partial ones from SIGKILLed nodes —
      the reader skips the torn final line) into one causally-ordered
@@ -581,7 +396,7 @@ let run cfg =
       in
       Sf.write_file ~meta ~source:"ctl"
         (Filename.concat dir "trace-ctl.jsonl")
-        (List.rev !ctl_spans);
+        (ctl_spans ());
       let parts =
         Sys.readdir dir |> Array.to_list
         |> List.filter (fun f ->
@@ -611,7 +426,6 @@ let run cfg =
     spawns = !spawns;
     kills = !kills;
     respawns = !respawns;
-    heartbeats = !heartbeats;
     wall_s = Unix.gettimeofday () -. started;
   }
 

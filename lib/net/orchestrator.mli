@@ -1,20 +1,20 @@
 (** Control-plane orchestrator for the real-process deployment mode.
 
-    Runs the round-synchronous Do-All execution that [Simkit.Kernel.run]
-    simulates, but with each participant living in its own OS process
-    ([dhw_node]) reached over a socket: the orchestrator is the lockstep
-    scheduler and message switch, the nodes hold the protocol state. Every
-    structural rule of the kernel loop is reproduced — delivery of round-[r]
-    sends at [r+1], idle-round skipping, pid-order stepping, per-pid inboxes
-    sorted by sender, the acting-crash [keep_work || delivered <> []] rule
-    and delivery filter ([Simkit.Fault.split_delivery]), restart
-    applicability — and the fault plan is consulted through exactly the
-    same [Simkit.Fault] kernel interface, so a schedule replayed here and
-    in the simulator yields the same execution, event for event
-    ({!parity}), whenever the real run is fault-free at the OS level. The
-    one semantic difference: a [Crash] decision is enforced with a real
-    [SIGKILL], and a [Restart] entry with a real [exec] of a fresh
-    incarnation that must recover from its on-disk checkpoint. *)
+    Runs the round-synchronous Do-All execution with each participant
+    living in its own OS process ([dhw_node]) reached over a socket. The
+    execution is one [Simkit.Kernel.run] over a remote process: its state
+    lives in the node, its [step] is one [Round_start]/[Step_result]
+    exchange, and its [init]/[recover] launch an incarnation and take the
+    wakeup from the node's [Hello]. The kernel is the lockstep scheduler and
+    message switch and consults the fault plan as in any simulator run; the
+    nodes hold the protocol state and take unit steps
+    ([Simkit.Types.no_ahead]). The [Obs] sink that records the execution
+    also carries out the kernel's decisions on the fleet: a [Crash] is a
+    real [SIGKILL], a [Terminate] a [Shutdown] frame, and a revival a real
+    [exec] of a fresh incarnation that must recover from its on-disk
+    checkpoint. So a schedule replayed here and in the simulator yields the
+    same execution, event for event ({!parity}), whenever the real run is
+    fault-free at the OS level. *)
 
 type config = {
   node_exe : string;  (** path to the [dhw_node] binary *)
@@ -24,7 +24,7 @@ type config = {
   n : int;  (** work units *)
   t : int;  (** processes *)
   fault : Simkit.Fault.t;
-      (** consulted exactly as the kernel does; [Corrupt]/[Byzantine]
+      (** consulted by the kernel; [Corrupt]/[Byzantine]
           entries must be rejected by the caller — there is no tamper model
           over real sockets, so a Byzantine entry degrades to a silent
           crash, as in the kernel *)
@@ -33,13 +33,14 @@ type config = {
       (** node stdout/stderr go to [node-<pid>.log] here; inherit if [None] *)
   rejoin_rounds : int;
   watchdog_s : float;  (** wall-clock budget for the whole run *)
-  io_timeout_s : float;  (** per-RPC deadline (spawn-to-hello, step, kill) *)
+  io_timeout_s : float;  (** per-RPC deadline (spawn-to-hello, step) *)
   max_rounds : int;
   trace_dir : string option;
       (** when set, nodes are launched with [--trace-dir] and write per-pid
           [trace-<pid>.jsonl] span files there; the orchestrator adds its
-          control-plane spans as [trace-ctl.jsonl] (round, per-step RPC,
-          heartbeat probes, spawn/kill/respawn marks) and, after the run,
+          control-plane spans as [trace-ctl.jsonl] (the kernel's round,
+          step and deliver spans, plus zero-length spawn/kill/respawn
+          marks) and, after the run,
           merges everything — including partial files from SIGKILLed nodes
           — into one causally-ordered [dhw-trace/v1] stream at
           [trace.jsonl]. [None] (the default) traces nothing. *)
@@ -74,8 +75,9 @@ type stop =
   | Watchdog of Simkit.Types.round
       (** wall-clock budget exhausted at the given round *)
   | Node_failure of Simkit.Types.round * string
-      (** a node died or misbehaved outside the fault plan (unexpected EOF,
-          RPC timeout, malformed frame, protocol violation) *)
+      (** a node died or misbehaved outside the fault plan (unexpected EOF
+          or EPIPE at its next step or revival, RPC timeout, malformed
+          frame, protocol violation) *)
 
 val stop_to_string : stop -> string
 
@@ -100,24 +102,23 @@ type result = {
   spawns : int;  (** total node processes launched (initial + respawns) *)
   kills : int;  (** SIGKILLs delivered by the fault plan *)
   respawns : int;  (** restart entries committed with a fresh incarnation *)
-  heartbeats : int;
-      (** liveness probes sent to sleeping nodes; a probe that is not
-          echoed raises [Bad_node] and stops the run, so a non-zero count
-          with a clean stop means every suspicion was refuted *)
   wall_s : float;
 }
 
 val transport_json : config -> result -> (string * Dhw_util.Jsonw.t) list
 (** The report's [transport] extra section: socket counters (connects,
     bounded-backoff retries, deadline timeouts, frame/byte totals) plus
-    spawn/kill/respawn totals, heartbeat-probe count, the configured
+    spawn/kill/respawn totals, the configured
     [io_timeout_s]/[watchdog_s] deadlines, and wall-clock time. *)
 
 val run : config -> result
 (** Execute. Never leaks child processes: every spawned node is killed and
-    reaped before returning, whatever the stop cause. Raises
-    [Invalid_argument] on a config that cannot be started (unknown
-    protocol, [t <= 0]). *)
+    reaped before returning or raising, whatever the stop cause. A
+    [Node_failure] or [Watchdog] stop still returns the metrics, events and
+    statuses seen so far. [SIGPIPE] is ignored while the run lasts (a write
+    to a dead node is a [Node_failure]), then its previous handler is
+    restored. Raises [Invalid_argument] on a config that cannot be started
+    (unknown protocol, [t <= 0]). *)
 
 val parity : config -> sched:Simkit.Campaign.Schedule.t -> result -> string option
 (** The sim-vs-real differential. [sched] (the schedule [config.fault] was

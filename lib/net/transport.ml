@@ -89,13 +89,16 @@ let bound_addr addr fd =
 
 let bump_timeout = function None -> () | Some s -> s.timeouts <- s.timeouts + 1
 
-(* Wait for readability/writability with an absolute deadline. *)
+(* Wait for readability/writability with an absolute deadline; an
+   infinite one blocks (select rejects an infinite timeout with EINVAL and
+   takes a negative one as "no timeout"). *)
 let wait_fd ?stats ~what ~read fd deadline =
   let rec go () =
     let left = deadline -. Unix.gettimeofday () in
     if left <= 0. then (
       bump_timeout stats;
       raise (Timeout what));
+    let left = if left = Float.infinity then -1. else left in
     let r, w, _ =
       try
         if read then Unix.select [ fd ] [] [] left

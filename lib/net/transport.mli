@@ -71,11 +71,13 @@ val connect :
 val send_frame :
   ?stats:stats -> ?timeout_s:float -> Unix.file_descr -> Frame.t -> unit
 (** Write one whole frame; {!Timeout} if the peer stops draining
-    (default 30 s), {!Closed} on EPIPE/ECONNRESET. *)
+    (default 30 s; [infinity] waits as long as it takes), {!Closed} on
+    EPIPE/ECONNRESET. *)
 
 val recv_frame :
   ?stats:stats -> ?timeout_s:float -> Unix.file_descr -> Frame.t
-(** Read exactly one frame; {!Timeout} (default 30 s) or {!Closed} on EOF.
+(** Read exactly one frame; {!Timeout} (default 30 s; [infinity] blocks
+    with no deadline) or {!Closed} on EOF.
     Raises [Failure] with the decoder's reason on a malformed frame —
     strict, like the codec. *)
 

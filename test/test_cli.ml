@@ -42,8 +42,13 @@ let temp_sched text =
   close_out oc;
   path
 
-(* Committed corpus files, copied next to the suite by its dune deps. *)
-let corpus f = Filename.concat "corpus" f
+(* Committed corpus files: copied next to the suite by its dune deps, or
+   under test/ when the suite runs from the repository root. *)
+let corpus f =
+  let candidates = [ Filename.concat "corpus" f; Filename.concat "test/corpus" f ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "corpus file %s not found" f
 
 let test_run_codes () =
   check_exit "run clean" 0 [ "run"; "-p"; "a"; "-n"; "24"; "-t"; "6" ];

@@ -1,7 +1,9 @@
 (* The real-process deployment substrate (lib/net): wire-frame codec laws
    (round-trip plus strict rejection of every malformed shape), payload
-   codecs, crash-atomic on-disk checkpoints with torn-write fallback, and
-   the socket transport's deadlines and bounded connect retries. *)
+   codecs, crash-atomic on-disk checkpoints with torn-write fallback, the
+   socket transport's deadlines and bounded connect retries, and both real
+   fleets: the async mesh fleet's end of run and detection, and the
+   lockstep fleet's unplanned node deaths and control-plane trace. *)
 
 module Gen = QCheck2.Gen
 module Net = Dhw_net
@@ -50,7 +52,6 @@ let gen_frame =
             (triple gen_small (list_size (0 -- 6) gen_send)
                (list_size (0 -- 6) gen_small))
             (triple bool gen_wakeup gen_small));
-      Gen.map (fun tick -> F.Heartbeat { tick }) gen_small;
       Gen.pure F.Shutdown;
     ]
 
@@ -111,7 +112,8 @@ let test_rejections () =
   expect_error "wrong hello version" (mutate h 9 '\xee');
   expect_error "bad hello magic" (mutate h 5 'X');
   expect_error "unknown tag" (mutate h 4 '\x7f');
-  (match F.decode (mutate h 9 '\x02') with
+  expect_error "retired probe tag" (mutate h 4 '\x05');
+  (match F.decode (mutate h 9 (Char.chr (F.version + 1))) with
   | Error e ->
       let mentions_version =
         let needle = "version" in
@@ -321,8 +323,8 @@ let test_transport_loopback () =
       let srv = Net.Transport.listen addr in
       let client = Net.Transport.connect ~stats addr in
       let peer = Net.Transport.accept ~stats srv in
-      Net.Transport.send_frame ~stats client (F.Heartbeat { tick = 42 });
-      Alcotest.(check frame_t) "server receives" (F.Heartbeat { tick = 42 })
+      Net.Transport.send_frame ~stats client (F.Welcome { round = 42 });
+      Alcotest.(check frame_t) "server receives" (F.Welcome { round = 42 })
         (Net.Transport.recv_frame ~stats peer);
       Net.Transport.send_frame ~stats peer hello;
       Alcotest.(check frame_t) "client receives" hello
@@ -666,6 +668,85 @@ let test_fleet_detection_latency_per_incarnation () =
         (Dhw_util.Hist.max_value h < 100))
 
 (* ------------------------------------------------------------------ *)
+(* The lockstep fleet: net-run's orchestrator *)
+
+let absolute p = if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
+
+let lockstep_config ?fault ?trace_dir ?(max_rounds = 10_000) ~dir ~node_exe
+    ~protocol ~n ~t () =
+  Net.Orchestrator.config ?fault ?trace_dir ~max_rounds ~log_dir:dir ~node_exe
+    ~addr:(Net.Transport.Unix_sock (Filename.concat dir "ctl.sock"))
+    ~protocol ~n ~t ~ckpt_dir:(Filename.concat dir "ckpt") ()
+
+(* A node that dies outside the fault plan ends the run as a node failure
+   at its next step: the write to its socket fails with EPIPE, which must
+   not kill this process with SIGPIPE, and every child is reaped. The
+   wrapper execs the real node and SIGKILLs pid 2 0.15 s after its launch;
+   in failure-free A at n = 80000, t = 4, pid 2 first steps at round
+   40003, about half a second in. *)
+let test_lockstep_unplanned_death () =
+  with_tmpdir (fun dir ->
+      let wrapper = Filename.concat dir "flaky_node.sh" in
+      let oc = open_out wrapper in
+      Printf.fprintf oc
+        "#!/bin/sh\n\
+         case \" $* \" in *\" --pid 2 \"*) (sleep 0.15; kill -9 $$) & ;; esac\n\
+         exec %s \"$@\"\n"
+        (Filename.quote (absolute (node_exe ())));
+      close_out oc;
+      Unix.chmod wrapper 0o755;
+      let res =
+        Net.Orchestrator.run
+          (lockstep_config ~max_rounds:1_000_000 ~dir ~node_exe:wrapper
+             ~protocol:"a" ~n:80_000 ~t:4 ())
+      in
+      (match res.Net.Orchestrator.stop with
+      | Net.Orchestrator.Node_failure _ -> ()
+      | s ->
+          Alcotest.failf "stop %s, want a node failure"
+            (Net.Orchestrator.stop_to_string s));
+      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+      | pid, _ -> Alcotest.failf "a child is left behind (waitpid: %d)" pid)
+
+(* The control plane's trace is the kernel's: round, step and deliver
+   spans, one ctl step per node step, and a zero-length mark per launch,
+   kill and respawn. No per-RPC or liveness-probe span is left. *)
+let test_lockstep_trace () =
+  with_tmpdir (fun dir ->
+      let module S = Simkit.Campaign.Schedule in
+      let sched =
+        S.make
+          [ { S.victim = 0; at = 3; mode = S.Silent };
+            { S.victim = 0; at = 8; mode = S.Restart } ]
+      in
+      let trace_dir = Filename.concat dir "trace" in
+      let res =
+        Net.Orchestrator.run
+          (lockstep_config ~fault:(S.to_fault sched) ~trace_dir ~dir
+             ~node_exe:(node_exe ()) ~protocol:"a+rec" ~n:12 ~t:2 ())
+      in
+      Alcotest.(check string) "completed" "completed"
+        (Net.Orchestrator.stop_to_string res.Net.Orchestrator.stop);
+      let module Sf = Dhw_util.Spanfile in
+      let spans =
+        match Sf.read_file (Filename.concat trace_dir "trace.jsonl") with
+        | Ok f -> f.Sf.spans
+        | Error e -> Alcotest.failf "merged trace: %s" e
+      in
+      let count src name =
+        List.length
+          (List.filter (fun s -> s.Sf.src = src && s.Sf.name = name) spans)
+      in
+      Alcotest.(check bool) "ctl round spans" true (count "ctl" "round" > 0);
+      Alcotest.(check bool) "node step spans" true (count "node" "step" > 0);
+      Alcotest.(check int) "a ctl step per node step" (count "node" "step")
+        (count "ctl" "step");
+      List.iter
+        (fun (name, k) -> Alcotest.(check int) (name ^ " marks") k (count "ctl" name))
+        [ ("spawn", 3); ("kill", 1); ("respawn", 1); ("hb", 0); ("rpc", 0) ])
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -716,4 +797,8 @@ let suite =
       `Quick test_fleet_kill_after_clean_exit;
     Alcotest.test_case "fleet: a kill is detected per incarnation" `Quick
       test_fleet_detection_latency_per_incarnation;
+    Alcotest.test_case "lockstep: a node killed outside the plan is a node failure"
+      `Quick test_lockstep_unplanned_death;
+    Alcotest.test_case "lockstep: the control-plane trace is the kernel's" `Quick
+      test_lockstep_trace;
   ]
